@@ -26,15 +26,15 @@ to a sub-collection ``C`` of r-cliques where every member satisfies
 with ``sup_C(R)`` counting only s-cliques whose r-subcliques all lie in
 ``C``. For ``(r, s) = (2, 3)`` this is *definitionally* the local
 (k, gamma)-truss decomposition: ``q_x`` reduces to the co-triangle
-probability of Eq. 5 and ``Pr[R exists]`` to ``p(e)``, so the score
-dict equals :func:`~repro.core.local.local_truss_decomposition`'s
-``trussness`` — the built-in differential oracle the test battery
-leans on. The truss-style numbering ``k = support threshold + 2`` is
-kept for every (r, s).
+probability of Eq. 5 and ``Pr[R exists]`` to ``p(e)``, so this module
+is also the engine behind
+:func:`~repro.core.local.local_truss_decomposition`, whose
+``trussness`` map is the ``(2, 3)`` score dict. The truss-style
+numbering ``k = support threshold + 2`` is kept for every (r, s).
 
-All factor orderings here are canonical (sorted by a cross-type node
-key), so serial runs and every executor worker count produce
-byte-identical scores.
+All factor orderings here are canonical (apexes in
+:func:`~repro.truss.nucleus.clique_key` order), so serial runs and
+every executor worker count produce byte-identical scores.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.local import _LevelBuckets
 from repro.core.support_prob import SupportProbability, support_pmf
 from repro.exceptions import ParameterError
-from repro.graphs.probabilistic import ProbabilisticGraph
+from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.truss.nucleus import (
     apex_candidates,
     clique_key,
@@ -67,16 +66,64 @@ Clique = tuple
 
 _METHODS = ("dp", "baseline")
 
-#: Peeled r-cliques between progress-hook notifications (same cadence
-#: as the local-truss peel).
+#: Peeled r-cliques between progress-hook notifications. Small enough
+#: that a budget breach overshoots by a fraction of a second even on the
+#: large synthetic networks, large enough to keep the hook off the
+#: per-clique hot path.
 _PROGRESS_INTERVAL = 64
 
 
+class _LevelBuckets:
+    """Bucket queue over r-cliques keyed by level (levels only decrease).
+
+    ``level`` maps every still-queued clique to its current level, so a
+    membership test on it is the peel's liveness check. Buckets are
+    insertion-ordered dicts rather than sets: pops are last-in-first-out,
+    so the peel order — and with it the order of the score dict — is
+    the same in every process, whatever ``PYTHONHASHSEED``.
+    """
+
+    def __init__(self, levels: dict[Clique, int]):
+        self.level = dict(levels)
+        top = max(levels.values(), default=1)
+        self._buckets: list[dict[Clique, None]] = [
+            {} for _ in range(top + 1)]
+        for cell, lvl in levels.items():
+            self._buckets[lvl][cell] = None
+        self._cursor = 0
+
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def pop_min(self) -> tuple[Clique, int]:
+        """Remove and return a (clique, level) pair of minimum level."""
+        while not self._buckets[self._cursor]:
+            self._cursor += 1
+        cell, _ = self._buckets[self._cursor].popitem()
+        del self.level[cell]
+        return cell, self._cursor
+
+    def update(self, cell: Clique, new_level: int) -> None:
+        """Lower the level of ``cell`` to ``new_level`` (no-op if not lower)."""
+        old = self.level.get(cell)
+        if old is None or new_level >= old:
+            return
+        del self._buckets[old][cell]
+        self.level[cell] = new_level
+        self._buckets[new_level][cell] = None
+        if new_level < self._cursor:
+            self._cursor = new_level
+
+
 def _node_sort_key(w):
-    """Canonical cross-type node ordering; mirrors
-    :func:`repro.parallel.work.node_sort_key` (duplicated here because
-    ``repro.parallel`` imports from ``repro.core``, not vice versa)."""
+    """Canonical cross-type node ordering for reported edge lists."""
     return (type(w).__name__, str(w))
+
+
+def _canonical_apexes(graph: ProbabilisticGraph, cell: Clique) -> Clique:
+    """The apexes of ``cell`` in canonical order: the order its support
+    factors are folded into the DP, whatever the worker count."""
+    return clique_key(apex_candidates(graph, cell))
 
 
 def clique_probability(graph: ProbabilisticGraph, cell: Clique) -> float:
@@ -106,16 +153,21 @@ def apex_factor(graph: ProbabilisticGraph, cell: Clique, x: Node) -> float:
 
 
 def nucleus_cell(
-    graph: ProbabilisticGraph, gamma: float, cell: Clique
+    graph: ProbabilisticGraph, gamma: float, cell: Clique,
+    apexes: Clique | None = None, prob: float | None = None,
 ) -> tuple[list[float], list[float], int]:
     """Initial support state of one r-clique: ``(qs, pmf, level)``.
 
     The single authoritative float path for cell initialisation — the
     serial loop and the ``nucleus-cell`` pool task both call this, which
-    is what makes every worker count byte-identical.
+    is what makes every worker count byte-identical. ``apexes`` (in
+    canonical order) and ``prob`` (the clique's existence probability)
+    are computed here unless the caller already holds them.
     """
-    prob = clique_probability(graph, cell)
-    apexes = sorted(apex_candidates(graph, cell), key=_node_sort_key)
+    if apexes is None:
+        apexes = _canonical_apexes(graph, cell)
+    if prob is None:
+        prob = clique_probability(graph, cell)
     qs = [apex_factor(graph, cell, x) for x in apexes]
     pmf = support_pmf(qs)
     level = SupportProbability.from_factors(qs, pmf).level(gamma, prob)
@@ -209,16 +261,17 @@ def nucleus_decomposition(
     is smallest; every s-clique through it stops supporting its other
     r-subcliques, whose PMFs shed the corresponding Bernoulli factor
     (Eq. 8 deconvolution for ``method="dp"``, full O(k^2) recompute for
-    ``method="baseline"``).
+    ``method="baseline"``). This is the one peel engine of the package:
+    :func:`~repro.core.local.local_truss_decomposition` is its
+    ``(2, 3)`` instance.
 
     Parameters
     ----------
     graph:
         Input probabilistic graph (not modified).
     r, s:
-        The nucleus family: ``(2, 3)`` (edges / triangles — identical
-        to :func:`~repro.core.local.local_truss_decomposition`) or
-        ``(3, 4)`` (triangles / 4-cliques).
+        The nucleus family: ``(2, 3)`` (edges / triangles — the local
+        truss decomposition) or ``(3, 4)`` (triangles / 4-cliques).
     gamma:
         Threshold in [0, 1].
     method:
@@ -246,20 +299,14 @@ def nucleus_decomposition(
         raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
 
     cells = enumerate_r_cliques(graph, r)
-    apexes: dict[Clique, list[Node]] = {
-        cell: sorted(apex_candidates(graph, cell), key=_node_sort_key)
-        for cell in cells
-    }
-    probs: dict[Clique, float] = {
-        cell: clique_probability(graph, cell) for cell in cells
-    }
+    apexes = {cell: _canonical_apexes(graph, cell) for cell in cells}
+    probs = {cell: clique_probability(graph, cell) for cell in cells}
 
     pmfs: dict[Clique, SupportProbability] = {}
     levels: dict[Clique, int] = {}
     if executor is not None and cells:
         # A few chunks per worker keeps stragglers short without
-        # drowning the pool in dispatch overhead (same sizing rule as
-        # the pmf-init fan-out).
+        # drowning the pool in dispatch overhead.
         size = max(1, -(-len(cells) // (executor.pool_workers * 4)))
         payloads = [
             (r, gamma, cells[i:i + size]) for i in range(0, len(cells), size)
@@ -271,11 +318,13 @@ def nucleus_decomposition(
                 levels[cell] = level
     else:
         for cell in cells:
-            qs, pmf, level = nucleus_cell(graph, gamma, cell)
+            qs, pmf, level = nucleus_cell(graph, gamma, cell, apexes[cell],
+                                          probs[cell])
             pmfs[cell] = SupportProbability.from_factors(qs, pmf)
             levels[cell] = level
 
     queue = _LevelBuckets(levels)
+    alive = queue.level
     scores: dict[Clique, int] = {}
     n_cells = len(cells)
     k = 1
@@ -305,34 +354,23 @@ def nucleus_decomposition(
         scores[cell] = k
         affected: list[Clique] = []
         for x in apexes[cell]:
-            # The s-clique S = cell + {x}. Its other r-subcliques each
-            # drop one vertex y of `cell` and gain the apex; S supported
-            # them only while *all* of them (and `cell`) were alive.
-            siblings = [
-                (clique_key(cell[:i] + cell[i + 1:] + (x,)), y)
-                for i, y in enumerate(cell)
-            ]
-            if not all(queue.contains(o) for o, _ in siblings):
+            siblings = _live_siblings(graph, cell, x, alive)
+            if siblings is None:
                 continue
-            for other, y in siblings:
+            for other, q in siblings:
                 if method == "dp":
-                    # Eq. 8 deconvolution: S's factor for `other` is the
-                    # product of the edges from its lost apex y into
-                    # `other` — the exact expression its initialisation
-                    # folded in, so the factor matches bit for bit.
-                    pmfs[other].remove_triangle(apex_factor(graph, other, y))
+                    # Eq. 8 deconvolution of the factor S = cell + {x}
+                    # contributed to `other`.
+                    pmfs[other].remove_triangle(q)
                 affected.append(other)
         if method == "baseline":
             # Recompute affected PMFs from scratch with the full
             # O(k^2) dynamic program over the still-alive structure.
             for other in affected:
-                qs = [
-                    apex_factor(graph, other, x)
-                    for x in apexes[other]
-                    if _supports(queue, other, x)
-                ]
-                pmfs[other] = SupportProbability.from_factors(
-                    qs, support_pmf(qs))
+                pmfs[other] = SupportProbability([
+                    apex_factor(graph, other, x) for x in apexes[other]
+                    if _live_siblings(graph, other, x, alive) is not None
+                ])
         # Refresh levels; shedding a support only lowers the tail
         # pointwise, so levels only decrease.
         for other in affected:
@@ -341,10 +379,31 @@ def nucleus_decomposition(
                          method=method)
 
 
-def _supports(queue: _LevelBuckets, cell: Clique, x: Node) -> bool:
-    """True while the s-clique ``cell + {x}`` still counts for ``cell``:
-    every other r-subclique must be alive (un-peeled)."""
-    return all(
-        queue.contains(clique_key(cell[:i] + cell[i + 1:] + (x,)))
-        for i in range(len(cell))
-    )
+def _live_siblings(graph: ProbabilisticGraph, cell: Clique, x: Node,
+                   alive) -> list[tuple[Clique, float]] | None:
+    """The other r-subcliques of the s-clique ``S = cell + {x}``, each
+    with the factor S contributes to its support — or None once any of
+    them is peeled, since S then supports none of them.
+
+    Each factor is ``apex_factor(graph, other, y)`` for the vertex ``y``
+    of ``cell`` that ``other`` lacks: the exact expression the
+    initialisation folded in, so the Eq. 8 removal matches bit for bit.
+    The ``r = 2`` branch spells that product out (``1.0 * a * b`` is
+    ``a * b`` exactly) because it is the peel's innermost loop.
+    """
+    if len(cell) == 2:
+        u, v = cell
+        vx = edge_key(v, x)
+        ux = edge_key(u, x)
+        if vx not in alive or ux not in alive:
+            return None
+        p = graph.probability
+        return [(vx, p(u, vx[0]) * p(u, vx[1])),
+                (ux, p(v, ux[0]) * p(v, ux[1]))]
+    siblings = []
+    for i, y in enumerate(cell):
+        other = clique_key(cell[:i] + cell[i + 1:] + (x,))
+        if other not in alive:
+            return None
+        siblings.append((other, apex_factor(graph, other, y)))
+    return siblings

@@ -92,8 +92,11 @@ def edge_connected_components(
 
     clusters: list[set[Edge]] = []
     unvisited = set(canonical)
-    while unvisited:
-        seed = next(iter(unvisited))
+    # Seeds follow the input order, not set order, so the cluster order
+    # does not depend on PYTHONHASHSEED.
+    for seed in canonical:
+        if seed not in unvisited:
+            continue
         cluster = {seed}
         unvisited.discard(seed)
         queue = deque([seed])

@@ -35,11 +35,6 @@ from repro.core.global_truss import GlobalTrussOracle
 from repro.core.kernels import classify_worlds_packed
 from repro.core.nucleus import nucleus_cell
 from repro.core.reliability import count_connected_rows
-from repro.core.support_prob import (
-    SupportProbability,
-    support_pmf,
-    triangle_probabilities,
-)
 from repro.parallel.shared import SharedSamplesHandle, attach_samples
 
 __all__ = [
@@ -47,7 +42,6 @@ __all__ = [
     "WorkerState",
     "TASKS",
     "build_worker_state",
-    "node_sort_key",
 ]
 
 #: Returned by :func:`run_task` in place of a result when the shared
@@ -57,20 +51,15 @@ CANCELLED = "__repro-parallel-cancelled__"
 
 #: Shared counters the parent's progress pump reads; one slot per
 #: worker-emitted phase.
-COUNTER_PHASES = ("oracle-eval", "gtd-state", "local-init",
-                  "nucleus-init", "reliability-rows")
+COUNTER_PHASES = ("oracle-eval", "gtd-state", "nucleus-init",
+                  "reliability-rows")
 
-#: Edges between cancel-flag polls in the PMF-init loop.
+#: Cliques between cancel-flag polls in the nucleus-cell loop.
 _CANCEL_POLL = 32
 
 
 class _WorkerCancelled(Exception):
     """Internal: the parent set the cancel flag; abandon the task."""
-
-
-def node_sort_key(w):
-    """Canonical node ordering usable across mixed node types."""
-    return (type(w).__name__, str(w))
 
 
 def _edge_sort_key(e):
@@ -286,37 +275,15 @@ def _calibrate(state: WorkerState, payload):
     return None
 
 
-def _pmf_init(state: WorkerState, payload):
-    """Run the O(k_e^2) initial support DPs for a chunk of edges.
-
-    Payload: ``(gamma, pairs)``. The triangle factors are ordered by the
-    canonical node key so every process — parent inline or any worker —
-    folds them into the DP in the same order (set iteration order would
-    differ across processes).
-    """
-    gamma, pairs = payload
-    out = []
-    for i, (u, v) in enumerate(pairs):
-        if i % _CANCEL_POLL == 0:
-            state.check_cancel()
-        p = state.graph.probability(u, v)
-        tri = triangle_probabilities(state.graph, u, v)
-        qs = [tri[w] for w in sorted(tri, key=node_sort_key)]
-        pmf = support_pmf(qs)
-        level = SupportProbability.from_factors(qs, pmf).level(gamma, p)
-        out.append((u, v, qs, pmf, level))
-    state.bump("local-init", len(pairs))
-    return out
-
-
 def _nucleus_cell(state: WorkerState, payload):
     """Run the initial support DPs for a chunk of r-cliques.
 
     Payload: ``(r, gamma, cells)`` with each cell a canonical clique
-    tuple. The float path is :func:`repro.core.nucleus.nucleus_cell` —
-    the same function the serial loop calls — with apex factors in
-    canonical node order, so every worker count (including the inline
-    parent) produces byte-identical ``(qs, pmf, level)`` triples.
+    tuple; ``r = 2`` cells are the edges of a local truss decomposition.
+    The float path is :func:`repro.core.nucleus.nucleus_cell`, which
+    folds the serial initialisation's factors in the same canonical
+    apex order, so every worker count (including the inline parent)
+    produces byte-identical ``(qs, pmf, level)`` triples.
     """
     _r, gamma, cells = payload
     out = []
@@ -355,7 +322,6 @@ TASKS = {
     "gtd-frontier": _gtd_frontier,
     "nucleus-cell": _nucleus_cell,
     "oracle-block": _oracle_block,
-    "pmf-init": _pmf_init,
     "reliability-block": _reliability_block,
 }
 

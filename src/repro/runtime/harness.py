@@ -25,6 +25,7 @@ back, only a snapshot to resume from.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.core.global_decomp import (
     global_truss_decomposition,
 )
 from repro.core.local import LocalTrussResult, local_truss_decomposition
+from repro.core.nucleus import NucleusResult, nucleus_decomposition
 from repro.exceptions import (
     BudgetExceededError,
     CheckpointError,
@@ -769,7 +771,7 @@ def _run_global_compute(
 
 
 # ----------------------------------------------------------------------
-# Local decomposition
+# Peel decompositions: local truss and (r, s)-nucleus
 # ----------------------------------------------------------------------
 def run_local(
     graph: ProbabilisticGraph,
@@ -788,111 +790,28 @@ def run_local(
 ) -> PartialResult:
     """Run a local decomposition under the harness.
 
-    Peeling is not internally resumable (removing an edge mutates every
-    neighbouring support PMF), so the checkpoint stores the *finished*
-    trussness map: ``resume`` returns it instantly, and a budget breach
-    salvages the tau values assigned so far — which are final, since
-    peeling emits trussness in nondecreasing order — as a degraded
-    partial result.
-
-    ``workers`` parallelises the initial support DPs (the peeling stays
-    serial); its canonical triangle-factor ordering is tagged into the
-    checkpoint parameters, so serial and parallel runs never resume each
-    other's manifests, but any two worker counts do.
+    The local truss decomposition is the (2, 3) case of
+    :func:`run_nucleus`, which does all the work — budgets, checkpoints
+    (a (2, 3) manifest), salvage, workers; this adapter only reports
+    the scores as ``kind="local"``, a
+    :class:`~repro.core.local.LocalTrussResult`, and
+    ``edges_assigned``/``edges_total`` in ``detail``.
     """
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    params = {
-        "kind": "local",
-        "gamma": gamma,
-        "method": method,
-        "graph": _graph_fingerprint(graph),
-        "pmf_order": "canonical" if workers is not None else "adjacency",
-    }
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
-
-    def to_partial(trussness, complete, reason=None):
-        result = LocalTrussResult(
-            graph=graph, gamma=gamma, trussness=trussness, method=method,
-        )
-        reasons = [r for r in (reason, degr.reason) if r]
-        reason = "; ".join(reasons) if reasons else None
-        return PartialResult(
-            kind="local", result=result, complete=complete,
-            degraded=reason is not None, reason=reason,
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
-            detail={"edges_assigned": len(trussness),
-                    "edges_total": graph.number_of_edges()},
-        )
-
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
-        if manifest is not None and manifest.get("status") == "complete":
-            trussness = {
-                (decode_node(u), decode_node(v)): int(tau)
-                for u, v, tau in manifest["trussness"]
-            }
-            return to_partial(trussness, complete=True)
-
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-    try:
-        result = local_truss_decomposition(graph, gamma, method=method,
-                                           progress=hook,
-                                           executor=executor)
-    except TaskQuarantinedError as err:
-        # pmf-init chunks are exact prerequisites: no sound degradation,
-        # so the run ends incomplete, naming the poison payloads.
-        return to_partial(
-            {}, complete=False,
-            reason=f"parallel init quarantined poison payloads: {err}",
-        )
-    except BudgetExceededError as err:
-        partial = err.partial or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=(
-                f"{err}; {len(partial)} of {graph.number_of_edges()} "
-                "edges assigned"
-            ),
-        )
-    except MemoryError as err:
-        partial = getattr(err, "partial", None) or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"out of memory during peeling: {err}",
-        )
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        raise
-    finally:
-        if executor is not None:
-            executor.close()
-
-    if store is not None:
-        store.save_manifest({
-            "params": params,
-            "status": "complete",
-            "trussness": sorted(
-                [encode_node(u), encode_node(v), tau]
-                for (u, v), tau in result.trussness.items()
-            ),
-        })
-        if not store.degraded:
-            store.collect_garbage()
-    return to_partial(result.trussness, complete=True)
+    run = run_nucleus(
+        graph, 2, 3, gamma, method=method, budget=budget,
+        checkpoint_dir=checkpoint_dir, resume=resume, progress=progress,
+        on_corrupt=on_corrupt, workers=workers, task_timeout=task_timeout,
+        task_cpu_timeout=task_cpu_timeout, max_task_retries=max_task_retries,
+    )
+    assert isinstance(run.result, NucleusResult)
+    trussness = run.result.scores
+    return replace(
+        run, kind="local",
+        result=LocalTrussResult(graph=graph, gamma=gamma,
+                                trussness=trussness, method=method),
+        detail={"edges_assigned": len(trussness),
+                "edges_total": graph.number_of_edges()},
+    )
 
 
 def run_nucleus(
@@ -914,19 +833,17 @@ def run_nucleus(
 ) -> PartialResult:
     """Run a probabilistic (r, s)-nucleus decomposition under the harness.
 
-    Same contract as :func:`run_local` (the (2, 3) case *is*
-    ``run_local`` semantically): peeling is not internally resumable, so
-    the checkpoint stores the finished score map — ``resume`` returns it
-    instantly — and a budget breach salvages the scores assigned so far,
-    which are final because peeling emits them in nondecreasing order.
+    Peeling is not internally resumable (retiring a clique mutates every
+    neighbouring support PMF), so the checkpoint stores the *finished*
+    score map: ``resume`` returns it instantly, and a budget breach
+    salvages the scores assigned so far — which are final, since peeling
+    emits them in nondecreasing order — as a degraded partial result.
 
     ``workers`` parallelises the initial support DPs through the
-    ``nucleus-cell`` task; all factor orderings are canonical, so every
-    worker count (including None) is byte-identical and shares one
-    manifest format.
+    ``nucleus-cell`` task (the peeling stays serial); all factor
+    orderings are canonical, so every worker count (including None) is
+    byte-identical and shares one manifest format.
     """
-    from repro.core.nucleus import NucleusResult, nucleus_decomposition
-
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     params = {
         "kind": "nucleus",
@@ -935,7 +852,10 @@ def run_nucleus(
         "gamma": gamma,
         "method": method,
         "graph": _graph_fingerprint(graph),
-        "pmf_order": "canonical",
+        # Apex factors fold in natural node order. Manifests from runs
+        # that folded them in another order ("adjacency": serial local
+        # runs; "canonical": (type name, str) order) must not resume.
+        "pmf_order": "natural",
     }
     degr = _Degradations()
     store = _wrap_store(store, degr.note, progress)

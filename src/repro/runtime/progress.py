@@ -1,7 +1,7 @@
 """The progress-hook protocol shared by all long-running computations.
 
 A *progress hook* is any callable taking a single :class:`ProgressEvent`.
-The sampling engine, the local peeling loop, both global searches, and
+The sampling engine, the nucleus peeling loop, both global searches, and
 the Monte-Carlo oracle call their hook at natural batch boundaries; a
 hook observes progress and may *abort* the computation by raising —
 typically :class:`~repro.exceptions.BudgetExceededError` (from a
@@ -14,8 +14,6 @@ Emitted phases
 ==================  =====================================================
 ``sample-batch``    one batch of possible worlds drawn (``step`` = batch
                     index; ``detail["samples_drawn"]`` = cumulative N')
-``local-peel``      a block of edges peeled by Algorithm 1 (``step`` =
-                    edges assigned so far, ``total`` = edge count)
 ``global-level``    Algorithm 3 is starting level k (``step`` = k)
 ``global-level-done``  level k finished; ``detail["trusses"]`` holds the
                     maximal trusses found at k (``step`` = k)
@@ -44,17 +42,14 @@ Emitted phases
 ``task-quarantined``  a payload exhausted ``max_task_retries`` and was
                     quarantined (``step`` = quarantine count this map;
                     ``detail``: task, payload_index, attempts, reason)
-``local-init``      (workers only) Algorithm 1's initial support DPs
-                    completed for another chunk of edges; counted in a
-                    shared counter and re-emitted by the pump (``step``
-                    = cumulative edges initialised)
 ``nucleus-peel``    a block of r-cliques peeled by the probabilistic
-                    (r, s)-nucleus decomposition (``step`` = cliques
-                    scored so far, ``total`` = r-clique count)
-``nucleus-init``    (workers only) initial nucleus support DPs
-                    completed for another chunk of r-cliques; counted
-                    in a shared counter and re-emitted by the pump
-                    (``step`` = cumulative cliques initialised)
+                    (r, s)-nucleus engine — Algorithm 1's edges when
+                    r = 2 (``step`` = cliques scored so far, ``total``
+                    = r-clique count)
+``nucleus-init``    (workers only) initial support DPs completed for
+                    another chunk of r-cliques (edges, for Algorithm
+                    1); counted in a shared counter and re-emitted by
+                    the pump (``step`` = cumulative cliques initialised)
 ``resource-pressure``  a resource probe crossed a pressure threshold or
                     a pressure response fired (``detail``: resource —
                     ``memory``/``disk``/``cpu`` —, action, observed
@@ -92,7 +87,7 @@ Checkpoints are written *before* the hook runs at each boundary, so a
 hook that raises never loses the batch it was notified about.
 
 With ``workers=N`` the in-worker phases (``oracle-eval``, ``gtd-state``,
-``local-init`` chunks) are counted in shared counters and re-emitted by
+``nucleus-init`` chunks) are counted in shared counters and re-emitted by
 the parent's pump thread as *coalesced* events: ``step`` then carries
 the counter delta since the previous pump rather than a per-call index.
 Hooks that only rate-limit or abort (budgets, interrupt guards) are
@@ -116,8 +111,6 @@ __all__ = ["KNOWN_PHASES", "ProgressEvent", "ProgressHook", "chain_hooks"]
 #: adding it in both places.
 KNOWN_PHASES = frozenset({
     "sample-batch",
-    "local-peel",
-    "local-init",
     "nucleus-peel",
     "nucleus-init",
     "global-level",

@@ -23,7 +23,7 @@ with trussness (Sariyüce's kappa is ``k - 2``).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Collection, Hashable, Sequence
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
@@ -55,7 +55,7 @@ def validate_rs(r: int, s: int) -> None:
         )
 
 
-def clique_key(nodes: Sequence[Node]) -> Clique:
+def clique_key(nodes: Collection[Node]) -> Clique:
     """Canonical (order-independent) tuple key for a clique.
 
     For two nodes this coincides with

@@ -1,12 +1,14 @@
 """Differential correctness battery for (r, s)-nucleus decomposition.
 
-The nucleus workload ships with a built-in oracle: the (2, 3)-nucleus
-*is* the local truss decomposition (docs/nucleus.md walks the
-argument), so :func:`~repro.core.nucleus.nucleus_decomposition` at
-``(r, s) = (2, 3)`` must reproduce
-:func:`~repro.core.local.local_truss_decomposition` bit for bit —
-serially and through the worker pool. The genuinely new (3, 4) case is
-checked three independent ways:
+The (2, 3)-nucleus *is* the local truss decomposition (docs/nucleus.md
+walks the argument), and :func:`~repro.core.local.local_truss_decomposition`
+is implemented as that instance of
+:func:`~repro.core.nucleus.nucleus_decomposition` — so comparing the two
+would test the engine against itself. The (2, 3) case is instead
+checked against two references that share no peel code:
+:func:`~repro.core.local_iterative.local_truss_decomposition_iterative`
+(a work-list fixpoint iteration) and the brute-force ``bf_scores``
+below. The (3, 4) case is checked three independent ways:
 
 * against a definitional **brute-force fixpoint oracle** (``bf_scores``
   below) that re-derives every nucleus level from first principles,
@@ -34,12 +36,12 @@ from hypothesis import given, settings
 from repro import (
     ParameterError,
     ProbabilisticGraph,
-    local_truss_decomposition,
     nucleus_decomposition,
     run_nucleus,
     structural_nucleus_decomposition,
     truss_decomposition,
 )
+from repro.core.local_iterative import local_truss_decomposition_iterative
 from repro.core.nucleus import apex_factor, clique_probability, nucleus_cell
 from repro.core.support_prob import support_pmf_bruteforce
 from repro.runtime.result import serialize_nucleus_result
@@ -140,30 +142,32 @@ class TestStructuralNucleus:
 
 
 class TestTwoThreeEqualsLocalTruss:
-    """(2, 3)-nucleus ≡ probabilistic local truss, bit for bit."""
+    """(2, 3)-nucleus ≡ probabilistic local truss, against references
+    that do not run the peel: the fixpoint iteration and brute force."""
 
     def test_scores_equal_trussness(self):
         for seed in range(6):
             g = random_probabilistic_graph(13, 0.4, seed)
-            local = local_truss_decomposition(g, 0.3).trussness
+            iterative = local_truss_decomposition_iterative(g, 0.3)
+            assert bf_scores(g, 2, 3, 0.3) == iterative
             for method in ("dp", "baseline"):
                 res = nucleus_decomposition(g, 2, 3, 0.3, method=method)
-                assert res.scores == local
+                assert res.scores == iterative
 
     def test_scores_equal_trussness_across_gammas(self):
         g = random_probabilistic_graph(15, 0.35, 11)
         for gamma in GAMMAS:
-            local = local_truss_decomposition(g, gamma).trussness
-            assert nucleus_decomposition(g, 2, 3, gamma).scores == local
+            iterative = local_truss_decomposition_iterative(g, gamma)
+            assert bf_scores(g, 2, 3, gamma) == iterative
+            assert nucleus_decomposition(g, 2, 3, gamma).scores == iterative
 
     def test_nucleus_edges_match_truss_subgraphs(self):
         g = random_probabilistic_graph(13, 0.4, 3)
         gamma = 0.3
         res = nucleus_decomposition(g, 2, 3, gamma)
-        local = local_truss_decomposition(g, gamma)
+        iterative = local_truss_decomposition_iterative(g, gamma)
         for k in range(2, res.k_max + 1):
-            expected = {
-                e for e, tau in local.trussness.items() if tau >= k}
+            expected = {e for e, tau in iterative.items() if tau >= k}
             assert set(res.nucleus_edges(k)) == expected
 
     def test_workers_byte_identity(self, tmp_path):

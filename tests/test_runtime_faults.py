@@ -38,9 +38,9 @@ class TestFaultPlan:
         assert plan.fired == [("sample-batch", 2)]
 
     def test_exception_class_is_instantiated(self):
-        plan = FaultPlan().raise_at("local-peel", 64, MemoryError)
+        plan = FaultPlan().raise_at("nucleus-peel", 64, MemoryError)
         with pytest.raises(MemoryError, match="injected fault"):
-            plan(ProgressEvent("local-peel", step=64))
+            plan(ProgressEvent("nucleus-peel", step=64))
 
     def test_chaining(self):
         plan = (FaultPlan()
@@ -67,13 +67,13 @@ class TestSimulatedSigint:
         assert exc_info.value.checkpoint_path == str(tmp_path)
 
     def test_sigint_during_local_peel(self):
-        # local-peel events fire every 64 peeled edges; needs a graph
+        # nucleus-peel events fire every 64 peeled edges; needs a graph
         # with more than 64 edges.
         graph = gnp_graph(30, 0.3, seed=0)
         assert graph.number_of_edges() > 64
         with pytest.raises(ComputationInterrupted):
             run_local(graph, 0.3,
-                      progress=FaultPlan().sigint_at("local-peel", 64))
+                      progress=FaultPlan().sigint_at("nucleus-peel", 64))
 
 
 class TestSimulatedOom:
@@ -100,7 +100,7 @@ class TestSimulatedOom:
     def test_oom_during_local_run(self):
         graph = gnp_graph(30, 0.3, seed=0)
         partial = run_local(graph, 0.3,
-                            progress=FaultPlan().oom_at("local-peel", 64))
+                            progress=FaultPlan().oom_at("nucleus-peel", 64))
         assert partial.degraded and not partial.complete
         assert "memory" in partial.reason.lower()
         # The salvaged prefix of trussness values is final.

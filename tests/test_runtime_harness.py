@@ -191,6 +191,47 @@ class TestLocalRun:
         with pytest.raises(CheckpointError, match="different parameters"):
             run_local(graph, 0.7, checkpoint_dir=tmp_path, resume=True)
 
+    def test_checkpoint_resumes_across_worker_counts(self, tmp_path):
+        # Serial and pooled runs fold the support factors in the same
+        # canonical order, so they share one manifest format: each
+        # resumes the other's checkpoint, byte for byte.
+        graph = gnp_graph(20, 0.3, seed=1)
+        for writer, reader in ((None, 2), (2, None)):
+            ck = tmp_path / f"written-by-{writer}"
+            first = run_local(graph, 0.4, checkpoint_dir=ck, workers=writer)
+            resumed = run_local(graph, 0.4, checkpoint_dir=ck, resume=True,
+                                workers=reader)
+            assert resumed.complete
+            assert (serialize_local_result(resumed.result)
+                    == serialize_local_result(first.result))
+
+    def test_older_manifests_are_refused_or_cleared(self, tmp_path):
+        # Older local runs wrote kind="local" manifests, tagged
+        # pmf_order="adjacency" when serial; older nucleus runs folded
+        # factors in "canonical" (type name, str) order. Either raises
+        # the typed error, or is cleared and recomputed under
+        # on_corrupt="restart".
+        from repro.runtime.checkpoint import CheckpointStore
+
+        graph = gnp_graph(20, 0.3, seed=1)
+        fresh = run_local(graph, 0.4, checkpoint_dir=tmp_path)
+        store = CheckpointStore(tmp_path)
+        current = store.load_manifest()
+        params = dict(current["params"])
+        del params["r"], params["s"]
+        old_local = {**params, "kind": "local", "pmf_order": "adjacency"}
+        old_nucleus = {**current["params"], "pmf_order": "canonical"}
+        for old_params in (old_local, old_nucleus):
+            store.save_manifest({**current, "params": old_params})
+            with pytest.raises(CheckpointError, match="different parameters"):
+                run_local(graph, 0.4, checkpoint_dir=tmp_path, resume=True)
+            restarted = run_local(graph, 0.4, checkpoint_dir=tmp_path,
+                                  resume=True, on_corrupt="restart")
+            assert restarted.complete
+            assert (serialize_local_result(restarted.result)
+                    == serialize_local_result(fresh.result))
+            assert store.load_manifest()["params"] == current["params"]
+
 
 class TestCrossProcessDeterminism:
     def test_gbu_result_is_hash_seed_independent(self):
@@ -224,6 +265,43 @@ class TestCrossProcessDeterminism:
             )
             digests.add(proc.stdout.strip())
         assert len(digests) == 1
+
+    def test_peel_output_is_hash_seed_independent(self, tmp_path):
+        """The peel's bucket queue pops from hash-ordered sets; local
+        truss and (3, 4)-nucleus output on a string-node graph must not
+        depend on PYTHONHASHSEED."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.graphs.io import write_edge_list
+        from repro.graphs.probabilistic import ProbabilisticGraph
+        from tests.strategies import planted_clique_graph
+
+        graph = ProbabilisticGraph()
+        for u, v, p in planted_clique_graph(3, 5, seed=2).edges_with_probabilities():
+            graph.add_edge(f"n{u}", f"n{v}", p)
+        path = tmp_path / "strings.txt"
+        write_edge_list(graph, path)
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        commands = (
+            ["local", str(path), "--gamma", "0.3", "--verbose"],
+            ["nucleus", str(path), "--gamma", "0.3", "--r", "3", "--s", "4",
+             "--verbose"],
+        )
+        for command in commands:
+            outputs = set()
+            for hash_seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                           PYTHONPATH=str(repo_root / "src"))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "repro", *command],
+                    capture_output=True, text=True, check=True,
+                    env=env, cwd=repo_root,
+                )
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1, command
 
 
 class TestCheckpointSeedDiscipline:

@@ -68,10 +68,11 @@ def two_component_graph() -> ProbabilisticGraph:
     return graph
 
 
-def pmf_payloads(graph, chunk: int = 1) -> list:
-    pairs = [(u, v) for u, v, _ in graph.edges_with_probabilities()]
+def cell_payloads(graph, chunk: int = 1) -> list:
+    """``nucleus-cell`` payloads over the graph's edges (r = 2 cells)."""
+    cells = [(u, v) for u, v, _ in graph.edges_with_probabilities()]
     return [
-        (GAMMA, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)
+        (2, GAMMA, cells[i:i + chunk]) for i in range(0, len(cells), chunk)
     ]
 
 
@@ -160,7 +161,7 @@ class TestKnobs:
     def test_bad_quarantine_policy_raises(self):
         with ParallelExecutor(1, graph=running_example()) as ex:
             with pytest.raises(ParameterError, match="on_quarantine"):
-                ex.map("pmf-init", [(GAMMA, [])], on_quarantine="ignore")
+                ex.map("nucleus-cell", [(2, GAMMA, [])], on_quarantine="ignore")
 
 
 # ----------------------------------------------------------------------
@@ -228,19 +229,19 @@ class TestCrashRecovery:
         return the inline reference result, and the pool must stay
         usable for the next map."""
         graph = gnp_graph(12, 0.35, seed=3)
-        payloads = pmf_payloads(graph)
+        payloads = cell_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("pmf-init", payloads)
+            reference = inline.map("nucleus-cell", payloads)
         with ParallelExecutor(2, graph=graph) as ex:
             pids = ex.pool_pids
             assert len(pids) == 2
             os.kill(pids[0], signal.SIGKILL)
             time.sleep(0.2)  # let the death reach the pipes
-            assert ex.map("pmf-init", payloads) == reference
+            assert ex.map("nucleus-cell", payloads) == reference
             assert len(ex.pool_pids) == 2
             assert pids[0] not in ex.pool_pids
             # Pool healthy: a second map on the same pool still works.
-            assert ex.map("pmf-init", payloads[:3]) == reference[:3]
+            assert ex.map("nucleus-cell", payloads[:3]) == reference[:3]
             assert ex.quarantined == []
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -298,14 +299,14 @@ class TestCrashRecovery:
 class TestTimeouts:
     def test_hung_task_is_killed_and_retried(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = pmf_payloads(graph)
+        payloads = cell_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("pmf-init", payloads)
-        plan = FaultPlan().hang_task("pmf-init", payload_index=0, times=1)
+            reference = inline.map("nucleus-cell", payloads)
+        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=1)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("pmf-init", payloads, progress=recorder)
+            results = ex.map("nucleus-cell", payloads, progress=recorder)
         assert results == reference
         assert "worker-died" in recorder.phases()
         assert "task-retried" in recorder.phases()
@@ -323,15 +324,15 @@ class TestCpuStall:
         worker is reclaimed even though no wall-clock task_timeout is
         set, and the replay keeps the output byte-identical."""
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = pmf_payloads(graph)
+        payloads = cell_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("pmf-init", payloads)
-        plan = FaultPlan().stall_task_cpu("pmf-init", payload_index=0,
+            reference = inline.map("nucleus-cell", payloads)
+        plan = FaultPlan().stall_task_cpu("nucleus-cell", payload_index=0,
                                           times=1)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_cpu_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("pmf-init", payloads, progress=recorder)
+            results = ex.map("nucleus-cell", payloads, progress=recorder)
         assert results == reference
         assert "worker-died" in recorder.phases()
         retried = [e for e in recorder.events if e.phase == "task-retried"]
@@ -343,15 +344,15 @@ class TestCpuStall:
         *not* killed: advancing CPU time is proof of life, the exact
         case a pure wall-clock timeout misclassifies."""
         graph = gnp_graph(9, 0.35, seed=5)
-        payloads = pmf_payloads(graph, chunk=4)
+        payloads = cell_payloads(graph, chunk=4)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("pmf-init", payloads)
-        plan = FaultPlan().spin_task("pmf-init", seconds=4 * TIMEOUT,
+            reference = inline.map("nucleus-cell", payloads)
+        plan = FaultPlan().spin_task("nucleus-cell", seconds=4 * TIMEOUT,
                                      payload_index=0)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_cpu_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("pmf-init", payloads, progress=recorder)
+            results = ex.map("nucleus-cell", payloads, progress=recorder)
             # The spin really consumed CPU and the supervisor saw it.
             assert ex.worker_cpu_seconds() > TIMEOUT
         assert results == reference
@@ -384,46 +385,46 @@ class TestQuarantine:
     def make_executor(self, graph, **kwargs):
         # times=2 exhausts max_task_retries=1 exactly, so follow-up maps
         # on the surviving pool run clean.
-        plan = FaultPlan().hang_task("pmf-init", payload_index=0, times=2)
+        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=2)
         return ParallelExecutor(2, graph=graph, task_timeout=TIMEOUT,
                                 max_task_retries=1, faults=plan, **kwargs)
 
     def test_skip_policy_yields_sentinel_and_record(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = pmf_payloads(graph)
+        payloads = cell_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("pmf-init", payloads)
+            reference = inline.map("nucleus-cell", payloads)
         recorder = Recorder()
         with self.make_executor(graph) as ex:
             name = ex._shared.handle.name if ex._shared else None
-            results = ex.map("pmf-init", payloads, progress=recorder,
+            results = ex.map("nucleus-cell", payloads, progress=recorder,
                              on_quarantine="skip")
             assert results[0] is QUARANTINED
             assert results[1:] == reference[1:]
             assert len(ex.quarantined) == 1
             record = ex.quarantined[0]
-            assert record.name == "pmf-init"
+            assert record.name == "nucleus-cell"
             assert record.index == 0
             assert record.attempts == 2  # max_task_retries=1 → 2 tries
             assert all("timed out" in r for r in record.reasons)
             assert "task-quarantined" in recorder.phases()
             # The pool survived the poison payload and keeps serving.
-            assert ex.map("pmf-init", payloads[1:]) == reference[1:]
+            assert ex.map("nucleus-cell", payloads[1:]) == reference[1:]
         if name is not None:
             assert not segment_exists(name)
 
     def test_raise_policy_raises_with_records(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = pmf_payloads(graph)
+        payloads = cell_payloads(graph)
         with self.make_executor(graph) as ex:
             with pytest.raises(TaskQuarantinedError) as info:
-                ex.map("pmf-init", payloads)
+                ex.map("nucleus-cell", payloads)
             assert info.value.quarantined[0].index == 0
-            assert "pmf-init" in str(info.value)
+            assert "nucleus-cell" in str(info.value)
 
     def test_run_local_quarantine_is_honest_partial(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        plan = FaultPlan().hang_task("pmf-init", payload_index=0, times=10)
+        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=10)
         partial = run_local(graph, GAMMA, workers=2, task_timeout=TIMEOUT,
                             max_task_retries=1, progress=plan)
         assert not partial.complete
@@ -505,9 +506,10 @@ class TestSigintMidMap:
             graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2,
         )
-        # local-init counter events are pumped only while the pmf-init
-        # pool map is in flight, so this fires mid-map by construction.
-        plan = FaultPlan().sigint_on_phase("local-init")
+        # nucleus-init counter events are pumped only while the
+        # nucleus-cell pool map is in flight, so this fires mid-map by
+        # construction.
+        plan = FaultPlan().sigint_on_phase("nucleus-init")
         ck = tmp_path / "ck"
         with pytest.raises(ComputationInterrupted) as info:
             run_global(
