@@ -166,7 +166,7 @@ def classify_worlds(
         return counts
     classifier = _WorldClassifier(edges, list(nodes), k)
     sub = matrix[candidate_rows]
-    if len(edges) <= 48:
+    if len(edges) <= kernels.DEDUP_MAX_EDGES:
         patterns, multiplicity = np.unique(sub, axis=0, return_counts=True)
     else:
         patterns, multiplicity = sub, np.ones(sub.shape[0], dtype=np.int64)
@@ -445,19 +445,17 @@ class GlobalTrussOracle:
         needed = threshold * self._samples.n_samples
         packed = self._samples.packed_columns(edges)
         row_sums = kernels.row_sums(packed, self._samples.n_samples)
-        candidate_rows = np.flatnonzero(
-            row_sums >= _minimum_world_edges(len(node_list), k)
-        )
+        size_ok = row_sums >= _minimum_world_edges(len(node_list), k)
+        candidate_rows = np.flatnonzero(size_ok)
         # Upper bound: qualifying worlds containing e are a subset of the
         # size-qualified worlds containing e. Reject without classifying
         # when some edge cannot reach the threshold. (Sound only as a
         # False fast-path; estimates are NOT cached here.)
         if candidate_rows.size * 1.0 < needed:
             return False
-        candidate_mask = kernels.pack_row_mask(
-            row_sums >= _minimum_world_edges(len(node_list), k)
+        upper = kernels.masked_column_counts(
+            packed, kernels.pack_row_mask(size_ok)
         )
-        upper = kernels.masked_column_counts(packed, candidate_mask)
         if (upper < needed).any():
             return False
         if self._parallel_worthwhile(len(edges), candidate_rows.size):
@@ -475,37 +473,31 @@ class GlobalTrussOracle:
             self._remember(key, estimates)
             return all(a >= threshold for a in estimates.values())
         # One batched C-level connectivity pass over all unique patterns,
-        # then (for k >= 3 only) per-pattern truss checks, heaviest
-        # first, with a live per-edge bound achieved(e) + pending(e) for
-        # early rejection. Pattern dedup happens in the packed domain:
+        # then (for k >= 3 only) one whole-array truss pass over the
+        # connected ones. Pattern dedup happens in the packed domain:
         # all-edges-present rows are counted by popcount of the byte
-        # AND-mask and only partial rows are gathered/unpacked.
+        # AND-mask and only partial rows are gathered/unpacked. Weights
+        # are integer multiplicities, so the float sums are exact.
         classifier = _WorldClassifier(edges, node_list, k)
         patterns, multiplicity = kernels.dedup_candidate_patterns(
             packed, candidate_rows
         )
         weights = multiplicity.astype(float)
-        connected = classifier.connected_mask(patterns)
-        if k <= 2:
-            if not connected.any():
-                return False
-            achieved = patterns[connected].astype(float).T @ weights[connected]
-        else:
-            survivors = np.flatnonzero(connected)
-            if survivors.size == 0:
-                return False
-            pending = patterns[survivors].astype(float).T @ weights[survivors]
+        qualifying = classifier.connected_mask(patterns)
+        if not qualifying.any():
+            return False
+        if k > 2:
+            # Sound bound: qualifying worlds are a subset of connected ones.
+            connected = patterns[qualifying]
+            pending = connected.astype(float).T @ weights[qualifying]
             if (pending < needed).any():
                 return False
-            achieved = np.zeros(len(edges))
-            order = survivors[np.argsort(-weights[survivors])]
-            for idx in order:
-                contribution = weights[idx] * patterns[idx]
-                pending -= contribution
-                if classifier.truss_ok(np.flatnonzero(patterns[idx])):
-                    achieved += contribution
-                if ((achieved + pending) < needed).any():
-                    return False
+            qualifying[qualifying] = classifier.truss_mask(connected)
+        achieved = patterns[qualifying].astype(float).T @ weights[qualifying]
+        # A k >= 3 rejection is not memoised (the memo stays small);
+        # k <= 2 evaluations are remembered either way.
+        if k > 2 and (achieved < needed).any():
+            return False
         estimates = {
             e: achieved[j] / self._samples.n_samples
             for j, e in enumerate(edges)

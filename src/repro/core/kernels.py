@@ -175,9 +175,13 @@ def dedup_candidate_patterns(
     The all-edges-present rows (typically the vast majority for
     high-probability candidates) are counted by a popcount of the
     column-AND byte mask and never unpacked; only the *partial* rows are
-    gathered. The all-ones pattern is appended last, which is where
-    ascending lexicographic ``np.unique`` sorts it, so even the pattern
-    *order* matches the reference bit for bit.
+    gathered. Each partial row is packed into one big-endian ``uint64``
+    key, column 0 most significant (``m <= 48`` bits always fit), and
+    deduplicated with a 1-D integer ``np.unique`` instead of the
+    row-wise ``axis=0`` comparison sort. Ascending keys are ascending
+    lexicographic rows, and the all-ones pattern is appended last, which
+    is where ``np.unique`` sorts it — so even the pattern *order*
+    matches the reference bit for bit.
     """
     candidate_rows = np.asarray(candidate_rows, dtype=np.int64)
     m = packed.shape[1]
@@ -189,9 +193,10 @@ def dedup_candidate_patterns(
     n_full = int(is_full.sum())
     partial = gather_rows(packed, candidate_rows[~is_full])
     if partial.shape[0]:
-        patterns, multiplicity = np.unique(
-            partial, axis=0, return_counts=True
+        keys, multiplicity = np.unique(
+            _row_keys(partial), return_counts=True
         )
+        patterns = _key_rows(keys, m)
         multiplicity = multiplicity.astype(np.int64)
     else:
         patterns = np.zeros((0, m), dtype=bool)
@@ -206,6 +211,24 @@ def dedup_candidate_patterns(
     return patterns, multiplicity
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One ``uint64`` per boolean row of at most 64 columns, order-keeping.
+
+    Column 0 lands in the most significant bit, so comparing keys
+    compares the rows lexicographically.
+    """
+    n_bytes = -(-rows.shape[1] // 8)
+    buf = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+    buf[:, :n_bytes] = np.packbits(rows, axis=1)
+    return buf.view(">u8").ravel()
+
+
+def _key_rows(keys: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`_row_keys`: the boolean ``(len(keys), m)`` rows."""
+    shifts = np.arange(63, 63 - m, -1, dtype=np.uint64)
+    return ((keys[:, None] >> shifts) & np.uint64(1)).astype(bool)
+
+
 class WorldClassifier:
     """Fast per-candidate classifier for sampled world patterns.
 
@@ -213,13 +236,17 @@ class WorldClassifier:
     Spanning connectivity of *all* patterns is decided in one shot by
     stacking them into a block-diagonal sparse graph and running scipy's
     C connected-components over it; the k-truss condition (k >= 3) is
-    then checked per surviving pattern with index-based common-neighbour
-    counts. Semantically identical to
+    then checked for all surviving patterns at once from the candidate's
+    triangle incidence (:meth:`truss_mask`). Semantically identical to
     :func:`repro.core.global_truss.world_is_connected_ktruss`, orders of
     magnitude faster in the Monte-Carlo oracle's inner loop.
     """
 
     __slots__ = ("n", "ends_u", "ends_v", "k")
+
+    #: Rows x triangles per :meth:`truss_mask` block; bounds the
+    #: per-block transients whatever the pattern count.
+    _TRUSS_BLOCK_CELLS = 1 << 14
 
     def __init__(self, edges: Sequence[Edge], nodes: Sequence[Node], k: int):
         index = {u: i for i, u in enumerate(nodes)}
@@ -256,7 +283,10 @@ class WorldClassifier:
         return (blocks == blocks[:, :1]).all(axis=1)
 
     def truss_ok(self, present_columns: np.ndarray) -> bool:
-        """k-truss condition over the present edges (k >= 3 only)."""
+        """k-truss condition over the present edges (k >= 3 only).
+
+        The per-pattern reference for :meth:`truss_mask`.
+        """
         need = self.k - 2
         if need <= 0:
             return True
@@ -269,6 +299,59 @@ class WorldClassifier:
         return all(
             len(adj[a] & adj[b]) >= need for a, b in zip(us, vs)
         )
+
+    def _triangle_columns(self) -> np.ndarray:
+        """The candidate's triangles as ``(t, 3)`` edge-index triples.
+
+        Each triangle is listed once: its apex node is larger than both
+        ends of the edge in column 0.
+        """
+        us, vs = self.ends_u.tolist(), self.ends_v.tolist()
+        column: dict[tuple[int, int], int] = {}
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for j, (a, b) in enumerate(zip(us, vs)):
+            column[a, b] = column[b, a] = j
+            adj[a].add(b)
+            adj[b].add(a)
+        triples = [
+            (j, column[a, w], column[b, w])
+            for j, (a, b) in enumerate(zip(us, vs))
+            for w in adj[a] & adj[b]
+            if w > a and w > b
+        ]
+        return np.array(triples, dtype=np.int64).reshape(-1, 3)
+
+    def truss_mask(self, patterns: np.ndarray) -> np.ndarray:
+        """Boolean mask: which patterns are k-trusses (k >= 3 only).
+
+        Row ``i`` equals ``truss_ok(np.flatnonzero(patterns[i]))``. The
+        candidate's triangles are enumerated once per call; a triangle
+        is present in a row when all three of its edges are, and each
+        present edge's support is the number of present triangles
+        incident to it, counted for a whole block of rows with one
+        ``bincount`` over the (row, edge) incidences.
+        """
+        n_patterns, m = patterns.shape
+        need = self.k - 2
+        if need <= 0 or n_patterns == 0:
+            return np.ones(n_patterns, dtype=bool)
+        tri = self._triangle_columns()
+        if tri.shape[0] == 0:
+            return ~patterns.any(axis=1)
+        out = np.empty(n_patterns, dtype=bool)
+        step = max(1, self._TRUSS_BLOCK_CELLS // tri.shape[0])
+        for lo in range(0, n_patterns, step):
+            block = patterns[lo:lo + step]
+            present = (
+                block[:, tri[:, 0]] & block[:, tri[:, 1]] & block[:, tri[:, 2]]
+            )
+            row, t = np.nonzero(present)
+            support = np.bincount(
+                (row[:, None] * m + tri[t]).ravel(),
+                minlength=block.shape[0] * m,
+            ).reshape(block.shape[0], m)
+            out[lo:lo + step] = ((support >= need) | ~block).all(axis=1)
+        return out
 
 
 def classify_worlds_packed(
@@ -296,9 +379,7 @@ def classify_worlds_packed(
     patterns, multiplicity = dedup_candidate_patterns(packed, candidate_rows)
     qualifying = classifier.connected_mask(patterns)
     if k > 2:
-        for i in np.flatnonzero(qualifying):
-            if not classifier.truss_ok(np.flatnonzero(patterns[i])):
-                qualifying[i] = False
+        qualifying[qualifying] = classifier.truss_mask(patterns[qualifying])
     if qualifying.any():
         counts_vec = patterns[qualifying].astype(np.int64).T @ (
             multiplicity[qualifying]

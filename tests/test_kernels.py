@@ -10,8 +10,11 @@ paths rely on:
   including ragged tails (``n_samples % 8 != 0``) whose padding bits
   must never leak into a count;
 * ``dedup_candidate_patterns`` reproduces ``np.unique(...,
-  return_counts=True)`` bit for bit — pattern order included — so the
-  float accumulation order downstream is unchanged;
+  return_counts=True)`` bit for bit — pattern order included — at every
+  integer-key width, so the float accumulation order downstream is
+  unchanged;
+* ``WorldClassifier.truss_mask`` equals the per-pattern ``truss_ok``
+  reference row for row;
 * ``classify_worlds_packed`` equals ``classify_worlds`` for every k,
   for RAM-resident and spilled (memmapped) sample sets alike;
 * the float kernels (``support_pmf``, oracle estimates) are
@@ -30,7 +33,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ProbabilisticGraph, WorldSampleSet
 from repro.core import kernels
-from repro.core.global_truss import GlobalTrussOracle, classify_worlds
+from repro.core.global_truss import (
+    GlobalTrussOracle,
+    classify_worlds,
+    world_is_connected_ktruss,
+)
 from repro.core.support_prob import support_pmf, support_pmf_reference
 from repro.truss.support import edge_supports, edge_supports_reference
 
@@ -143,6 +150,54 @@ class TestDedupCandidatePatterns:
         np.testing.assert_array_equal(patterns, ref_patterns)
         np.testing.assert_array_equal(multiplicity, ref_counts)
 
+    @staticmethod
+    def _assert_matches_np_unique(packed, presence, rows):
+        patterns, multiplicity = kernels.dedup_candidate_patterns(
+            packed, rows
+        )
+        ref_patterns, ref_counts = np.unique(
+            presence[rows], axis=0, return_counts=True
+        )
+        assert patterns.dtype == bool and multiplicity.dtype == np.int64
+        np.testing.assert_array_equal(patterns, ref_patterns)
+        np.testing.assert_array_equal(multiplicity, ref_counts)
+
+    @staticmethod
+    def _repetitive_presence(n, m, seed):
+        # Rows drawn from a small pool (plus all-ones rows and a few
+        # fresh ones) so wide keys still collide and multiplicities > 1.
+        gen = np.random.default_rng(seed)
+        pool = gen.random((6, m)) < 0.6
+        pool[0] = True
+        presence = pool[gen.integers(0, len(pool), n)]
+        fresh = gen.random(n) < 0.2
+        presence[fresh] = gen.random((int(fresh.sum()), m)) < 0.5
+        return presence
+
+    # Key widths: 1..6 bytes of packed row, and both sides of every
+    # byte boundary up to DEDUP_MAX_EDGES.
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 31, 47, 48])
+    @pytest.mark.parametrize("n", [1, 13, 67, 203])
+    def test_every_key_width(self, m, n):
+        presence = self._repetitive_presence(n, m, seed=m * 1000 + n)
+        rows = np.flatnonzero(
+            np.random.default_rng(n).random(n) < 0.8
+        )
+        if rows.size == 0:
+            rows = np.array([0], dtype=np.int64)
+        self._assert_matches_np_unique(_pack(presence), presence, rows)
+
+    @pytest.mark.parametrize("m", [17, 48])
+    def test_spilled_memmap_columns(self, m, tmp_path):
+        presence = self._repetitive_presence(157, m, seed=m)
+        packed = _pack(presence)
+        path = tmp_path / "columns.bits"
+        packed.tofile(path)
+        mapped = np.memmap(path, dtype=np.uint8, mode="r",
+                           shape=packed.shape)
+        rows = np.arange(157, dtype=np.int64)
+        self._assert_matches_np_unique(mapped, presence, rows)
+
     def test_wide_projection_skips_dedup(self):
         # Above DEDUP_MAX_EDGES the reference keeps duplicate rows with
         # unit multiplicities, in candidate order; the kernel must too.
@@ -154,6 +209,75 @@ class TestDedupCandidatePatterns:
         )
         np.testing.assert_array_equal(patterns, presence[rows])
         np.testing.assert_array_equal(multiplicity, np.ones(4, dtype=np.int64))
+
+
+def _random_candidate(n_nodes, density, seed):
+    gen = np.random.default_rng(seed)
+    edges = [
+        (u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
+        if gen.random() < density
+    ]
+    return edges, list(range(n_nodes))
+
+
+class TestTrussMask:
+    @given(n_nodes=st.integers(2, 8), seed=st.integers(0, 2**31),
+           n_rows=st.integers(0, 40), k=st.sampled_from([3, 4, 5]),
+           density=st.sampled_from([0.4, 0.9]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_truss_ok_row_for_row(
+        self, n_nodes, seed, n_rows, k, density
+    ):
+        edges, nodes = _random_candidate(n_nodes, 0.7, seed)
+        classifier = kernels.WorldClassifier(edges, nodes, k)
+        patterns = _random_presence((n_rows, len(edges)), seed + 1, density)
+        got = classifier.truss_mask(patterns)
+        assert got.shape == (n_rows,) and got.dtype == bool
+        want = [
+            classifier.truss_ok(np.flatnonzero(row)) for row in patterns
+        ]
+        np.testing.assert_array_equal(got, np.array(want, dtype=bool))
+        # On connected rows the mask is the full world indicator.
+        for i in np.flatnonzero(classifier.connected_mask(patterns)):
+            present = [e for e, bit in zip(edges, patterns[i]) if bit]
+            assert got[i] == world_is_connected_ktruss(nodes, present, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_candidate_without_triangles(self, k):
+        # A path plus a star: no triangles, so only edgeless rows pass.
+        edges = [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5)]
+        classifier = kernels.WorldClassifier(edges, list(range(6)), k)
+        patterns = _random_presence((30, len(edges)), seed=k)
+        patterns[0] = False
+        got = classifier.truss_mask(patterns)
+        np.testing.assert_array_equal(got, ~patterns.any(axis=1))
+        assert got[0]
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_zero_rows(self, k):
+        edges, nodes = _random_candidate(6, 0.8, seed=k)
+        classifier = kernels.WorldClassifier(edges, nodes, k)
+        got = classifier.truss_mask(np.zeros((0, len(edges)), dtype=bool))
+        assert got.shape == (0,) and got.dtype == bool
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_row_counts_straddling_the_block(self, k, monkeypatch):
+        # Shrink the block so a few dozen rows cross several block
+        # boundaries; every row must still match the reference.
+        monkeypatch.setattr(kernels.WorldClassifier, "_TRUSS_BLOCK_CELLS", 64)
+        edges, nodes = _random_candidate(7, 0.9, seed=k)
+        classifier = kernels.WorldClassifier(edges, nodes, k)
+        n_triangles = classifier._triangle_columns().shape[0]
+        assert n_triangles > 0
+        step = max(1, 64 // n_triangles)
+        for n_rows in (step - 1, step, step + 1, 3 * step + 1):
+            patterns = _random_presence((n_rows, len(edges)), n_rows, 0.85)
+            want = [
+                classifier.truss_ok(np.flatnonzero(row)) for row in patterns
+            ]
+            np.testing.assert_array_equal(
+                classifier.truss_mask(patterns), np.array(want, dtype=bool)
+            )
 
 
 def _classify_case(n_nodes, density, seed, n_samples):
@@ -228,6 +352,30 @@ class TestClassifyWorldsPacked:
         counts = classify_worlds(edges, nodes, 3, matrix, rows)
         want = {e: c / samples.n_samples for e, c in counts.items()}
         assert got == want  # == on floats: bit-identity, not closeness
+
+
+class TestOracleMemoContract:
+    def _oracle(self, edges):
+        graph = ProbabilisticGraph([(u, v, 1.0) for u, v in edges])
+        return GlobalTrussOracle(WorldSampleSet.from_graph(graph, 40, seed=1))
+
+    def test_classification_rejection_is_not_memoised(self):
+        # Every world is the full candidate: it passes the size, per-edge
+        # and connectivity bounds, and only the truss test rejects it
+        # (the pendant edge (2, 3) lies in no triangle).
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
+        oracle = self._oracle(edges)
+        before = oracle.cache_size()
+        assert not oracle.satisfies_edges(edges, [0, 1, 2, 3], 3, 0.5)
+        assert oracle.cache_size() == before
+
+    def test_satisfied_candidate_is_memoised(self):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        oracle = self._oracle(edges)
+        assert oracle.satisfies_edges(edges, [0, 1, 2], 3, 0.5)
+        assert oracle.cache_size() == 1
+        assert oracle.satisfies_edges(edges, [0, 1, 2], 3, 0.5)
+        assert oracle.cache_size() == 1
 
 
 class TestVectorizedSupports:
