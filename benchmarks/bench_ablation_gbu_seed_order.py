@@ -32,7 +32,7 @@ def test_ablation_gbu_seed_order(benchmark):
     def sweep():
         from repro.core.global_decomp import bottom_up_search
         from repro.core.global_decomp import _edge_subgraphs_of_components
-        from repro.graphs.probabilistic import edge_key
+        from repro.parallel import ParallelExecutor
 
         samples = WorldSampleSet.from_graph(graph, 150, seed=1)
         oracle = GlobalTrussOracle(samples)
@@ -44,11 +44,12 @@ def test_ablation_gbu_seed_order(benchmark):
         for order in _ORDERS:
             t0 = time.perf_counter()
             found = []
-            for piece in components:
-                found.extend(
-                    bottom_up_search(oracle, k, piece, _GAMMA, rng=7,
-                                     seed_order=order)
-                )
+            with ParallelExecutor(1, graph=graph, oracle=oracle) as executor:
+                for comp_index, piece in enumerate(components):
+                    found.extend(bottom_up_search(
+                        executor, oracle, k, piece, _GAMMA, root=7,
+                        comp_index=comp_index, seed_order=order,
+                    ))
             elapsed = time.perf_counter() - t0
             density = (
                 sum(probabilistic_density(t) for t in found) / len(found)

@@ -58,7 +58,6 @@ _PHASE_BUCKETS = {
     "oracle-eval": "oracle",
     "gtd-state": "frontier",
     "gtd-frontier": "frontier",
-    "gtd-component": "frontier",
 }
 
 

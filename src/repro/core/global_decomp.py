@@ -3,14 +3,19 @@
 Implements the paper's backbone Algorithm 3 with both search
 sub-procedures:
 
-* **GTD** — :func:`top_down_search` (Algorithm 4): exact DFS that removes
-  one edge at a time, recursing into the k-truss-pruned connected
-  components. We memoise visited edge sets — without this the recursion
-  revisits the same residual graphs exponentially often.
+* **GTD** — :func:`top_down_search` (Algorithm 4): exact search that
+  removes one edge at a time and continues in the k-truss-pruned
+  connected components, one round-synchronous peel round at a time. We
+  memoise visited edge sets — without this the search revisits the same
+  residual graphs exponentially often.
 * **GBU** — :func:`bottom_up_search` (Algorithm 5): the heuristic that
   grows a candidate from a single high-probability seed edge, adding
   k - 2 supporting triangles per deficient edge, then extends satisfying
   candidates to maximality.
+
+Both searches run their per-candidate work as executor tasks
+(:mod:`repro.parallel.work`); ``workers=None`` runs them on an inline
+executor, so every worker count executes the same code.
 
 Candidate pruning follows Eq. (11): an edge can only appear in an
 (eps, delta)-approximate global (k, gamma)-truss if it lies in a maximal
@@ -132,11 +137,12 @@ def _edge_subgraphs_of_components(
     """Split ``edges`` into connected clusters and materialise subgraphs.
 
     Clusters and their edges are sorted before materialisation so the
-    component processing order — and hence GBU's random-stream
-    consumption — depends only on the edge *contents*, never on set
-    iteration order. Checkpoint resume relies on this: a run restarted
-    at a level boundary must consume the restored RNG stream exactly as
-    the uninterrupted run would have.
+    component processing order — and hence each component's index in
+    GBU's per-seed stream entropy and in GTD's mid-peel snapshots —
+    depends only on the edge *contents*, never on set iteration order.
+    Checkpoint resume relies on this: a run restarted in a fresh
+    process must number the components exactly as the uninterrupted
+    run did.
     """
     ordered = [
         sorted(cluster, key=_edge_sort_key)
@@ -144,64 +150,6 @@ def _edge_subgraphs_of_components(
     ]
     ordered.sort(key=lambda cluster: _edge_sort_key(cluster[0]))
     return [graph.edge_subgraph(cluster) for cluster in ordered]
-
-
-def top_down_search(
-    oracle: GlobalTrussOracle,
-    k: int,
-    component: ProbabilisticGraph,
-    gamma: float,
-    max_states: int | None = None,
-    progress=None,
-) -> list[ProbabilisticGraph]:
-    """Algorithm 4: exact DFS for all satisfying trusses within ``component``.
-
-    If ``component`` itself satisfies the approximate global truss test it
-    is returned (it is maximal by construction); otherwise every
-    single-edge deletion is explored, each followed by structural k-truss
-    pruning and a split into connected components.
-
-    ``max_states`` bounds the number of distinct residual edge-sets
-    explored; exceeding it raises :class:`DecompositionError` — this is
-    how callers emulate the paper's "GTD cannot finish in reasonable
-    time" observations without hanging. ``progress`` (a hook taking a
-    :class:`~repro.runtime.progress.ProgressEvent`) is notified with a
-    ``"gtd-state"`` event per explored residual state and may abort the
-    search by raising.
-    """
-    answers: dict[frozenset[Edge], ProbabilisticGraph] = {}
-    visited: set[frozenset[Edge]] = set()
-    stack = [component]
-    while stack:
-        candidate = stack.pop()
-        key = frozenset(candidate.edges())
-        if not key or key in visited:
-            continue
-        visited.add(key)
-        if max_states is not None and len(visited) > max_states:
-            raise DecompositionError(
-                f"top-down search exceeded {max_states} explored states at k={k}"
-            )
-        if progress is not None:
-            from repro.runtime.progress import ProgressEvent
-
-            progress(ProgressEvent(
-                "gtd-state", step=len(visited), detail={"k": k},
-            ))
-        if oracle.satisfies(candidate, k, gamma):
-            answers[key] = candidate
-            continue
-        for e in list(candidate.edges()):
-            remaining = set(key)
-            remaining.discard(edge_key(*e))
-            pruned = _prune_to_structural_ktruss(candidate, remaining, k)
-            if not pruned:
-                continue
-            for piece in _edge_subgraphs_of_components(candidate, pruned):
-                piece_key = frozenset(piece.edges())
-                if piece_key not in visited:
-                    stack.append(piece)
-    return list(answers.values())
 
 
 def _frontier_shards(frontier: list, workers: int) -> list[list]:
@@ -226,46 +174,54 @@ def _canonical_edge_list(component: ProbabilisticGraph) -> list[Edge]:
     )
 
 
-def _frontier_search(
+def top_down_search(
     executor,
-    oracle: GlobalTrussOracle,
     k: int,
-    comp_index: int,
     component: ProbabilisticGraph,
     gamma: float,
-    max_states: int | None,
-    progress,
-    level_found: dict,
+    max_states: int | None = None,
+    progress=None,
+    *,
+    comp_index: int = 0,
+    level_found: dict | None = None,
     resume_state: dict | None = None,
 ) -> list[ProbabilisticGraph] | None:
-    """Algorithm 4 as round-synchronous sharded frontier expansion.
+    """Algorithm 4: exact search for all satisfying trusses in ``component``.
 
-    Explores exactly the state closure of :func:`top_down_search` — the
-    set of residual edge-subsets reachable by repeated single-edge
-    deletion, pruning, and splitting from ``component``, where only
-    *non-satisfying* states expand — but one peel round at a time: every
-    round evaluates the whole outstanding frontier, dispatched through
-    the executor as canonical contiguous shards (``gtd-frontier`` task),
+    Explores the state closure of ``component`` — the residual
+    edge-subsets reachable by repeated single-edge deletion, structural
+    k-truss pruning and splitting into connected components, where only
+    *non-satisfying* states expand; every satisfying state is an answer
+    (maximal by construction). The search is round-synchronous: each
+    peel round evaluates the whole outstanding frontier, dispatched
+    through ``executor`` as canonical contiguous shards (``gtd-frontier``
+    task, which tests each candidate against the executor's oracle),
     then merges in shard-index order and within-shard candidate order.
-    Since DFS and round-synchronous BFS compute the same closure, and
-    every satisfying state of the closure is an answer in both, the
-    answer *set* matches the serial search for every worker count —
-    and :func:`~repro.runtime.result.serialize_global_result`
-    canonicalises ordering, so the serialised output is bit-identical.
+    The merged rounds are therefore a pure function of ``component``,
+    identical for every worker count, including the inline executor
+    that ``workers=None`` runs on.
 
-    ``max_states`` counts unique states merged into the visited set,
-    mirroring the serial budget: the closure size alone decides whether
-    :class:`DecompositionError` is raised, so the serial path and every
-    worker count agree on the outcome.
+    ``max_states`` bounds the number of distinct residual states merged
+    into the visited set; exceeding it raises
+    :class:`DecompositionError` — this is how callers emulate the
+    paper's "GTD cannot finish in reasonable time" observations without
+    hanging. The closure size alone decides the outcome, so every worker
+    count agrees on it.
 
-    After each merged round a ``"gtd-frontier"`` progress event carries
-    the complete mid-peel state (level answers so far, next frontier,
-    visited set) — the harness checkpoints it, so kill/resume lands on
-    a round boundary. ``resume_state`` restores exactly that snapshot.
+    ``progress`` (a hook taking a
+    :class:`~repro.runtime.progress.ProgressEvent`) sees a
+    ``"gtd-state"`` event per evaluated candidate, and after each merged
+    round a ``"gtd-frontier"`` event carrying the complete mid-peel
+    state: the level's answers so far (``level_found`` from earlier
+    components plus this component's), the next frontier and the
+    visited set. The harness checkpoints it, so kill/resume lands on a
+    round boundary; ``resume_state`` restores exactly that snapshot, and
+    ``comp_index`` names the component in it. A hook may abort the
+    search by raising.
 
     Returns None when a frontier shard was quarantined (the payload
     kept killing workers): the caller degrades this component to the
-    GBU heuristic, exactly like a quarantined ``gtd-component`` task.
+    GBU heuristic.
     """
     comp_edges = tuple(component.edges())
     executor.cache_component(comp_edges, component)
@@ -288,16 +244,15 @@ def _frontier_search(
             (comp_edges, shard, k, gamma)
             for shard in _frontier_shards(frontier, executor.pool_workers)
         ]
-        mark = len(getattr(executor, "quarantined", []))
+        mark = len(executor.quarantined)
         results = executor.map("gtd-frontier", payloads, progress=progress,
                                on_quarantine="skip")
         if any(res is QUARANTINED for res in results):
             # Honest degradation: some shard of this component's frontier
             # kept killing workers (or timing out). The exact search
             # cannot soundly skip states, so the whole component falls
-            # back to the bottom-up heuristic — the same contract as a
-            # quarantined gtd-component payload.
-            for rec in getattr(executor, "quarantined", [])[mark:]:
+            # back to the bottom-up heuristic.
+            for rec in executor.quarantined[mark:]:
                 rec.fallback = "gbu"
             return None
         next_frontier: list[list[Edge]] = []
@@ -328,7 +283,7 @@ def _frontier_search(
             # chains them) loses no completed work.
             found_lists = [
                 _canonical_edge_list(t)
-                for t in list(level_found.values()) + list(answers.values())
+                for t in [*(level_found or {}).values(), *answers.values()]
             ]
             progress(ProgressEvent(
                 "gtd-frontier", step=round_no,
@@ -352,44 +307,43 @@ def _frontier_search(
 
 
 def bottom_up_search(
+    executor,
     oracle: GlobalTrussOracle,
     k: int,
     component: ProbabilisticGraph,
     gamma: float,
-    rng: np.random.Generator | int | None = None,
-    skip_covered: bool = True,
-    seed_order: str = "probability-desc",
+    root: int,
     progress=None,
-    stream_root: int | None = None,
+    *,
     comp_index: int = 0,
+    seed_order: str = "probability-desc",
 ) -> list[ProbabilisticGraph]:
     """Algorithm 5: heuristic bottom-up growth of satisfying trusses.
 
     Seeds are the component's edges in descending probability order (the
     paper's heuristic; ``seed_order`` exposes "probability-asc" and
-    "random" for ablation). Each seed grows by adding supporting
-    triangles (k - 2 per deficient edge, chosen at random among the
-    available apexes, as the paper prescribes); satisfying candidates
-    are greedily extended to maximality. Incomplete by design — the
-    speed-for-completeness trade of Section 5.3.
+    "random" for ablation, the latter shuffled by
+    ``SeedSequence([root, k, comp_index])``). Each seed grows by adding
+    supporting triangles (k - 2 per deficient edge, chosen at random
+    among the available apexes, as the paper prescribes); satisfying
+    candidates are greedily extended to maximality. Incomplete by design
+    — the speed-for-completeness trade of Section 5.3. Edges already
+    contained in some answer are not re-seeded: every reported truss is
+    still a satisfying maximal truss, the pass just avoids rediscovering
+    the same answer from each of its edges.
 
-    With ``skip_covered`` (default), edges already contained in some
-    answer are not re-seeded — every reported truss is still a satisfying
-    maximal truss, the pass just avoids rediscovering the same answer
-    from each of its edges.
-
-    With ``stream_root`` (how the decomposition always calls this), each
-    seed's growth draws from its own
-    ``SeedSequence([stream_root, k, comp_index, seed_index])`` stream —
-    the same streams :func:`_bottom_up_search_parallel` fans across
-    workers, so the serial pass is byte-identical to every parallel
-    worker count. Without it (direct API use), ``rng`` is one shared
-    sequential stream threaded through all seeds.
+    Each seed draws from its own stream
+    ``SeedSequence([root, k, comp_index, seed_index])``, so its
+    evaluation (the ``gbu-seed`` task on ``executor``) is a pure
+    function of the seed — independent of worker count, scheduling and
+    batch boundaries. With a live pool, seeds are dispatched in batches
+    of ``2 * pool_workers``; covered-seed skipping happens cheaply at
+    dispatch and again at merge, in seed order, which discards exactly
+    the speculative evaluations a one-seed-at-a-time pass would never
+    have started. Inline (``workers`` None or 1) each batch is one seed,
+    so nothing is evaluated speculatively. Results are identical for
+    every worker count.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    answers: dict[frozenset[Edge], ProbabilisticGraph] = {}
-    covered: set[Edge] = set()
     if seed_order == "probability-desc":
         ranked = sorted(
             component.edges_with_probabilities(),
@@ -402,76 +356,22 @@ def bottom_up_search(
         )
     elif seed_order == "random":
         ranked = list(component.edges_with_probabilities())
-        rng.shuffle(ranked)
+        np.random.default_rng(
+            np.random.SeedSequence([root, k, comp_index])
+        ).shuffle(ranked)
     else:
         raise ParameterError(
             "seed_order must be 'probability-desc', 'probability-asc' "
             f"or 'random', got {seed_order!r}"
         )
-    for seed_index, (u0, v0, _) in enumerate(ranked):
-        if progress is not None:
-            from repro.runtime.progress import ProgressEvent
-
-            progress(ProgressEvent(
-                "gbu-seed", step=seed_index, total=len(ranked),
-                detail={"k": k},
-            ))
-        if skip_covered and edge_key(u0, v0) in covered:
-            continue
-        # alpha_hat(seed) can never exceed the seed's world frequency.
-        if oracle.edge_frequency(u0, v0) < gamma * (1.0 - 1e-9):
-            continue
-        if stream_root is not None:
-            seed_rng = np.random.default_rng(np.random.SeedSequence(
-                [stream_root, k, comp_index, seed_index]
-            ))
-        else:
-            seed_rng = rng
-        grown = _grow_candidate(component, (u0, v0), k, seed_rng)
-        if grown is None:
-            continue
-        if not oracle.satisfies(grown, k, gamma):
-            continue
-        extended = _extend_to_maximal(oracle, component, grown, k, gamma)
-        key = frozenset(extended.edges())
-        if key not in answers:
-            answers[key] = extended
-            covered |= key
-    return list(answers.values())
-
-
-def _bottom_up_search_parallel(
-    executor,
-    oracle: GlobalTrussOracle,
-    k: int,
-    comp_index: int,
-    component: ProbabilisticGraph,
-    gamma: float,
-    root: int,
-    progress=None,
-) -> list[ProbabilisticGraph]:
-    """Algorithm 5 with per-seed RNG streams, fanned across an executor.
-
-    Each seed draws from its own stream
-    ``SeedSequence([root, k, comp_index, seed_index])``, so its
-    evaluation is a pure function of the seed — independent of worker
-    count, scheduling, and chunk boundaries. Seeds are dispatched in
-    chunks; covered-seed skipping happens twice: cheaply at dispatch
-    (serial knowledge so far) and again at merge, in seed order, which
-    discards exactly the evaluations the serial per-seed-stream pass
-    would never have started. Results are therefore identical for any
-    ``workers``, including the inline ``workers=1`` reference.
-    """
-    ranked = sorted(
-        component.edges_with_probabilities(),
-        key=lambda t: (-t[2], str(t[0]), str(t[1])),
-    )
     comp_edges = tuple(component.edges())
     executor.cache_component(comp_edges, component)
     threshold = gamma * (1.0 - 1e-9)
     answers: dict[frozenset[Edge], ProbabilisticGraph] = {}
     covered: set[Edge] = set()
-    chunk = max(1, executor.pool_workers * 2)
+    # Speculative batches only pay off when a pool runs them in parallel.
+    workers = executor.pool_workers
+    chunk = 2 * workers if workers > 1 else 1
     total = len(ranked)
     index = 0
     while index < total:
@@ -511,7 +411,7 @@ def _bottom_up_search_parallel(
                 continue
             # Merge-order discard: a seed covered by an answer accepted
             # earlier in seed order was evaluated speculatively; dropping
-            # it here reproduces the serial skip exactly.
+            # it here reproduces the one-seed-at-a-time skip exactly.
             if edge_key(*seed_edge) in covered:
                 continue
             truss = component.edge_subgraph(list(res))
@@ -686,22 +586,18 @@ def global_truss_decomposition(
         ``start_k``) taken as already computed. The default runs from
         scratch.
     workers, executor, rng_root:
-        Parallel mode. ``workers`` (an int, 0 or ``"auto"``) spins up a
-        private :class:`~repro.parallel.ParallelExecutor` for this call;
-        ``executor`` supplies an externally managed one instead (the
-        harness shares one across stages). Either switches GBU to
-        *per-seed* RNG streams derived from ``rng_root`` (default: the
-        int ``seed``, else one draw from the main stream) — results are
-        then identical for every worker count, including ``workers=1``,
-        but differ from the default sequential-stream mode. ``None``
-        for all three (the default) is the unchanged serial behaviour.
-        With an executor, exact GTD levels additionally use the
-        intra-component frontier sharding of :func:`_frontier_search`
-        whenever the level is a single component (or the executor is
-        inline) — same bytes, parallel peel rounds.
+        Execution. Both searches run on a
+        :class:`~repro.parallel.ParallelExecutor`: ``executor`` supplies
+        an externally managed one (the harness shares one across
+        stages); otherwise this call starts a private one with
+        ``workers`` processes (an int, 0 or ``"auto"``), inline when
+        ``workers`` is None or 1. GBU draws from *per-seed* RNG streams
+        rooted at ``rng_root`` (default: the int ``seed``, else one draw
+        from the main stream), so results are identical for every
+        worker count, including None.
     frontier_state:
-        Mid-peel resume support (requires an executor): the snapshot of
-        a ``"gtd-frontier"`` progress event's detail as restored by
+        Mid-peel resume support: the snapshot of a ``"gtd-frontier"``
+        progress event's detail as restored by
         :meth:`~repro.runtime.checkpoint.CheckpointStore.load_frontier`.
         The level it names continues from that round boundary instead of
         restarting; a snapshot naming any other level is ignored.
@@ -735,27 +631,27 @@ def global_truss_decomposition(
     oracle = GlobalTrussOracle(samples, progress=progress)
 
     own_executor = None
-    if executor is None and workers is not None:
+    if executor is None:
         from repro.parallel import ParallelExecutor
 
+        # None means serial: the inline executor (0 would mean "auto").
         own_executor = ParallelExecutor(
-            workers, graph=graph, samples=samples
+            1 if workers is None else workers, graph=graph,
+            samples=samples, oracle=oracle,
         ).start()
         executor = own_executor
-    if executor is not None:
-        executor.attach_oracle(oracle)
+    executor.attach_oracle(oracle)
     if rng_root is not None:
         root = int(rng_root)
     elif isinstance(seed, int):
         root = seed
     else:
-        # One draw from the main stream anchors every per-seed
-        # stream of this run; Generator/None seeds are therefore
-        # reproducible within a run but not across checkpoint
-        # resume — the harness enforces an int seed there. Serial and
-        # parallel modes derive the root identically (same rng state at
-        # this point), which is what makes GBU output byte-identical
-        # across workers in {None, 1, 2, 4, ...}.
+        # One draw from the main stream anchors every per-seed stream of
+        # this run; Generator/None seeds are therefore reproducible
+        # within a run but not across checkpoint resume — the harness
+        # enforces an int seed for every checkpointed run. Every worker
+        # count derives the root identically (same rng state at this
+        # point), which keeps GBU output byte-identical across workers.
         root = int(rng.integers(0, np.iinfo(np.int64).max))
     try:
         if local_result is None:
@@ -768,7 +664,7 @@ def global_truss_decomposition(
                 f"({local_result.gamma} != {gamma})"
             )
         return _decomposition_levels(
-            graph, gamma, epsilon, delta, method, rng, samples, oracle,
+            graph, gamma, epsilon, delta, method, samples, oracle,
             local_result, max_k, max_states, progress, start_k,
             initial_trusses, executor, root, frontier_state,
         )
@@ -783,7 +679,6 @@ def _decomposition_levels(
     epsilon: float,
     delta: float,
     method: str,
-    rng: np.random.Generator,
     samples: WorldSampleSet,
     oracle: GlobalTrussOracle,
     local_result: LocalTrussResult,
@@ -796,7 +691,7 @@ def _decomposition_levels(
     root: int,
     frontier_state: dict | None = None,
 ) -> GlobalTrussResult:
-    """The Algorithm 3 k-loop, shared by the serial and parallel modes."""
+    """The Algorithm 3 k-loop: one search per connected piece per level."""
 
     result = GlobalTrussResult(
         graph=graph, gamma=gamma, epsilon=epsilon, delta=delta,
@@ -835,96 +730,38 @@ def _decomposition_levels(
         found: dict[frozenset[Edge], ProbabilisticGraph] = {}
         pieces = _edge_subgraphs_of_components(graph, candidates)
         level_frontier = None
-        if frontier_state is not None and int(frontier_state["k"]) == k:
+        resume_comp = -1
+        if (method == "gtd" and frontier_state is not None
+                and int(frontier_state["k"]) == k):
             # One-shot: the snapshot belongs to exactly this level.
-            level_frontier = frontier_state
-            frontier_state = None
-        if (method == "gtd" and executor is not None
-                and executor.pool_workers > 1 and len(pieces) > 1):
-            # Components are independent; search them concurrently and
-            # merge in component order. top_down_search is deterministic,
-            # so each worker's answer list matches a serial pass.
-            payloads = [
-                (tuple(piece.edges()), k, gamma, max_states)
-                for piece in pieces
-            ]
-            mark = len(getattr(executor, "quarantined", []))
-            results = executor.map("gtd-component", payloads,
-                                   progress=progress,
-                                   on_quarantine="skip")
-            records = {
-                rec.index: rec
-                for rec in getattr(executor, "quarantined", [])[mark:]
-            }
-            for comp_index, (piece, res) in enumerate(zip(pieces, results)):
-                if res is QUARANTINED:
-                    # Honest degradation: the exact search on this
-                    # component kept killing workers (or timing out);
-                    # fall back to the bottom-up heuristic for just this
-                    # component, exactly what `--method gbu` would run.
-                    record = records.get(comp_index)
-                    if record is not None:
-                        record.fallback = "gbu"
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                    for t in trusses:
-                        found.setdefault(frozenset(t.edges()), t)
-                    continue
-                for t_edges in res:
-                    t = piece.edge_subgraph(list(t_edges))
-                    found.setdefault(frozenset(t.edges()), t)
-        elif method == "gtd" and executor is not None:
-            # Intra-component parallelism: the level is one giant
-            # component (the common case on the paper's real datasets)
-            # or the executor is inline — shard each component's peel
-            # rounds instead of fanning whole components.
-            resume_comp = -1
-            if level_frontier is not None:
-                resume_comp = int(level_frontier["comp_index"])
-                for t_edges in level_frontier["found"]:
-                    t = graph.edge_subgraph(list(t_edges))
-                    found.setdefault(frozenset(t.edges()), t)
-            for comp_index, piece in enumerate(pieces):
-                if comp_index < resume_comp:
-                    # Fully searched before the snapshot; its answers
-                    # were restored from the snapshot's `found` above.
-                    continue
-                trusses = _frontier_search(
-                    executor, oracle, k, comp_index, piece, gamma,
-                    max_states, progress, found,
+            level_frontier, frontier_state = frontier_state, None
+            resume_comp = int(level_frontier["comp_index"])
+            for t_edges in level_frontier["found"]:
+                t = graph.edge_subgraph(list(t_edges))
+                found.setdefault(frozenset(t.edges()), t)
+        for comp_index, piece in enumerate(pieces):
+            if comp_index < resume_comp:
+                # Fully searched before the snapshot; its answers were
+                # restored from the snapshot's `found` above.
+                continue
+            trusses = None
+            if method == "gtd":
+                trusses = top_down_search(
+                    executor, k, piece, gamma, max_states, progress,
+                    comp_index=comp_index, level_found=found,
                     resume_state=(level_frontier
                                   if comp_index == resume_comp else None),
                 )
-                if trusses is None:
-                    # Quarantined frontier shard: this component degrades
-                    # to the bottom-up heuristic (fallback recorded on
-                    # the quarantine records by _frontier_search).
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                for t in trusses:
-                    found.setdefault(frozenset(t.edges()), t)
-        else:
-            for comp_index, piece in enumerate(pieces):
-                if method == "gtd":
-                    trusses = top_down_search(oracle, k, piece, gamma,
-                                              max_states=max_states,
-                                              progress=progress)
-                elif executor is not None:
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                else:
-                    trusses = bottom_up_search(oracle, k, piece, gamma,
-                                               rng=rng, progress=progress,
-                                               stream_root=root,
-                                               comp_index=comp_index)
-                for t in trusses:
-                    found.setdefault(frozenset(t.edges()), t)
+            if trusses is None:
+                # GBU, or a quarantined GTD frontier shard: this piece
+                # degrades to the bottom-up heuristic (top_down_search
+                # records the fallback on the quarantine records).
+                trusses = bottom_up_search(
+                    executor, oracle, k, piece, gamma, root, progress,
+                    comp_index=comp_index,
+                )
+            for t in trusses:
+                found.setdefault(frozenset(t.edges()), t)
         # Line 12: keep only the maximal answers.
         maximal = _filter_maximal(found)
         if not maximal:

@@ -174,28 +174,6 @@ def _gbu_seed(state: WorkerState, payload):
     )
 
 
-def _gtd_component(state: WorkerState, payload):
-    """Run the exact top-down search over one connected component.
-
-    Payload: ``(component_edges, k, gamma, max_states)``. Returns one
-    sorted edge list per answer, in the search's (deterministic)
-    discovery order. :class:`DecompositionError` propagates to the
-    parent, which treats it exactly like the serial search would.
-    """
-    from repro.core.global_decomp import top_down_search
-
-    comp_edges, k, gamma, max_states = payload
-    component = state.component(tuple(map(tuple, comp_edges)))
-    trusses = top_down_search(
-        state.oracle, k, component, gamma,
-        max_states=max_states, progress=state.hook,
-    )
-    return [
-        sorted((edge_key(u, v) for u, v in t.edges()), key=_edge_sort_key)
-        for t in trusses
-    ]
-
-
 def _gtd_frontier(state: WorkerState, payload):
     """Evaluate one shard of a GTD peel round's frontier (Algorithm 4).
 
@@ -206,18 +184,19 @@ def _gtd_frontier(state: WorkerState, payload):
     one ``("exp", successors)`` — its single-edge-deletion expansions
     after structural k-truss pruning and connected-component splitting,
     each a canonically sorted edge list in deterministic generation
-    order. The result is a pure function of the payload: the parent's
-    merge (shard-index order, then within-shard candidate order) is
-    therefore identical for every shard boundary and worker count.
+    order. A successor already emitted earlier in the shard is left out:
+    the parent's merge would drop it as visited anyway. The result is a
+    pure function of the payload: the parent's merge (shard-index order,
+    then within-shard candidate order) is therefore identical for every
+    shard boundary and worker count.
     """
-    from repro.core.global_decomp import (
-        _edge_subgraphs_of_components,
-        _prune_to_structural_ktruss,
-    )
+    from repro.core.global_decomp import _prune_to_structural_ktruss
+    from repro.graphs.components import edge_connected_components
     from repro.runtime.progress import ProgressEvent
 
     comp_edges, shard, k, gamma = payload
     component = state.component(tuple(map(tuple, comp_edges)))
+    emitted: set[frozenset] = set()
     out = []
     for index, cand_edges in enumerate(shard):
         candidate = component.edge_subgraph([tuple(e) for e in cand_edges])
@@ -231,13 +210,16 @@ def _gtd_frontier(state: WorkerState, payload):
             remaining = set(key)
             remaining.discard(edge_key(*e))
             pruned = _prune_to_structural_ktruss(candidate, remaining, k)
-            if not pruned:
-                continue
-            for piece in _edge_subgraphs_of_components(candidate, pruned):
-                successors.append(sorted(
-                    (edge_key(u, v) for u, v in piece.edges()),
-                    key=_edge_sort_key,
-                ))
+            clusters = [
+                sorted(cluster, key=_edge_sort_key)
+                for cluster in edge_connected_components(candidate, pruned)
+            ]
+            clusters.sort(key=lambda cluster: _edge_sort_key(cluster[0]))
+            for cluster in clusters:
+                cluster_key = frozenset(cluster)
+                if cluster_key not in emitted:
+                    emitted.add(cluster_key)
+                    successors.append(cluster)
         out.append(("exp", successors))
     return out
 
@@ -318,7 +300,6 @@ def _reliability_block(state: WorkerState, payload):
 TASKS = {
     "calibrate": _calibrate,
     "gbu-seed": _gbu_seed,
-    "gtd-component": _gtd_component,
     "gtd-frontier": _gtd_frontier,
     "nucleus-cell": _nucleus_cell,
     "oracle-block": _oracle_block,

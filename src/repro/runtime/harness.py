@@ -287,15 +287,14 @@ def run_global(
         Cooperative limits; breaching them degrades the run instead of
         raising (see module docstring).
     workers:
-        Parallel mode: one :class:`~repro.parallel.ParallelExecutor`
-        (created after sampling, over the shared sample set) is threaded
-        through the local pruning and the k loop. GBU always draws from
-        per-seed RNG streams rooted at the int ``seed`` — serial and
-        parallel alike — so results are byte-identical for every
-        ``workers`` value, including None; a resumed run may change
-        ``workers`` freely. Checkpointed parallel runs additionally
-        require an int seed (a None seed's stream root cannot be
-        re-derived on resume).
+        One :class:`~repro.parallel.ParallelExecutor` (created after
+        sampling, over the shared sample set; inline when ``workers`` is
+        None or 1) is threaded through the local pruning and the k loop.
+        GBU always draws from per-seed RNG streams rooted at the int
+        ``seed``, so results are byte-identical for every ``workers``
+        value, including None; a resumed run may change ``workers``
+        freely. Checkpointed runs therefore require an int seed (a None
+        seed's stream root cannot be re-derived on resume).
     task_timeout / max_task_retries:
         Supervision knobs forwarded to the executor: seconds one payload
         may hold a worker before it is killed and retried, and how many
@@ -341,9 +340,9 @@ def run_global(
     """
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     seed = _require_plain_seed(seed, store is not None)
-    if workers is not None and store is not None and seed is None:
+    if store is not None and seed is None:
         raise CheckpointError(
-            "checkpointed parallel runs need an int seed: the per-seed "
+            "checkpointed global runs need an int seed: the per-seed "
             "RNG streams are rooted at it, and a root derived from a "
             "None seed cannot be re-derived on resume"
         )
@@ -596,17 +595,17 @@ def run_global(
                 except ComputationInterrupted as err:
                     _attach_checkpoint(err, store)
                     raise
-        if workers is not None:
-            from repro.parallel import ParallelExecutor
+        from repro.parallel import ParallelExecutor
 
-            executor = ParallelExecutor(
-                workers, graph=graph, samples=world_set,
-                task_timeout=task_timeout,
-                task_cpu_timeout=task_cpu_timeout,
-                max_task_retries=max_task_retries,
-                faults=_pool_faults_of(progress),
-            ).start()
-            supervision["executor"] = executor
+        # None means serial: the inline executor (0 would mean "auto").
+        executor = ParallelExecutor(
+            1 if workers is None else workers, graph=graph,
+            samples=world_set, task_timeout=task_timeout,
+            task_cpu_timeout=task_cpu_timeout,
+            max_task_retries=max_task_retries,
+            faults=_pool_faults_of(progress),
+        ).start()
+        supervision["executor"] = executor
         return _run_global_compute(
             graph, gamma, delta, seed, max_k, max_states, budget, store,
             progress, gtd_fraction, degr, hook, rng, completed, state,
@@ -704,7 +703,7 @@ def _run_global_compute(
             # streams regardless of where the main generator's state
             # was when the run was killed or degraded. A None seed
             # falls back to drawing the root from ``rng``, which is
-            # fine: checkpointed runs require an int seed.
+            # fine: every checkpointed run requires an int seed.
             rng_root=seed,
             frontier_state=(frontier_state if stage_method == "gtd"
                             else None),

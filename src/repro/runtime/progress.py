@@ -17,9 +17,10 @@ Emitted phases
 ``global-level``    Algorithm 3 is starting level k (``step`` = k)
 ``global-level-done``  level k finished; ``detail["trusses"]`` holds the
                     maximal trusses found at k (``step`` = k)
-``gtd-state``       Algorithm 4 explored another residual state
-``gtd-frontier``    (executor runs only) Algorithm 4 merged one sharded
-                    peel round (``step`` = round index); ``detail``
+``gtd-state``       Algorithm 4 tested another frontier candidate
+                    (``step`` = its index within the frontier shard)
+``gtd-frontier``    Algorithm 4 merged one sharded peel round
+                    (``step`` = round index); ``detail``
                     carries the complete mid-peel snapshot — level
                     ``k``, component index, next round, answers found,
                     outstanding frontier and visited states — which the

@@ -8,9 +8,8 @@ compared on shared seeded inputs (``tests/strategies.py``):
   (:func:`~tests.strategies.exhaustive_sample_set`, dyadic
   probabilities) removes the sampling error entirely, so its answers
   must equal :func:`~repro.core.exact_enum.exact_global_decomposition`
-  for every non-dyadic gamma. The same inputs run through the inline
-  frontier-sharded executor path (``workers=1``) must serialise to the
-  same bytes as the serial DFS.
+  for every non-dyadic gamma. The same inputs run with ``workers=1``
+  must serialise to the same bytes as with ``workers=None``.
 * **Support DP vs. brute force** — Algorithm 2's O(k^2) dynamic program
   against the O(2^k) enumeration oracle, exact (``==``) on dyadic
   factor lists and within float tolerance on arbitrary ones.

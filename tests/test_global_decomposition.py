@@ -18,7 +18,9 @@ from repro.core.global_decomp import (
     bottom_up_search,
     top_down_search,
 )
-from repro.graphs.generators import running_example, windmill_graph
+from repro.graphs.generators import gnp_graph, running_example, windmill_graph
+from repro.graphs.probabilistic import edge_key
+from repro.parallel import ParallelExecutor
 from tests.conftest import random_probabilistic_graph
 
 
@@ -136,12 +138,18 @@ class TestBackboneBehaviour:
         assert ks == sorted(ks)
 
 
+def _inline(graph, oracle):
+    """An inline executor whose tasks test against ``oracle``."""
+    return ParallelExecutor(1, graph=graph, oracle=oracle)
+
+
 class TestTopDownSearch:
     def test_returns_component_when_satisfying(self, paper_graph):
         samples = WorldSampleSet.from_graph(paper_graph, 1500, seed=5)
         oracle = GlobalTrussOracle(samples)
         h2 = paper_graph.subgraph(["q1", "v1", "v2", "v3"])
-        answers = top_down_search(oracle, 4, h2, 0.1)
+        with _inline(paper_graph, oracle) as executor:
+            answers = top_down_search(executor, 4, h2, 0.1)
         assert len(answers) == 1
         assert set(answers[0].nodes()) == {"q1", "v1", "v2", "v3"}
 
@@ -149,10 +157,12 @@ class TestTopDownSearch:
         samples = WorldSampleSet.from_graph(paper_graph, 200, seed=5)
         oracle = GlobalTrussOracle(samples)
         h1 = paper_graph.subgraph(["q1", "q2", "v1", "v2", "v3"])
-        with pytest.raises(DecompositionError):
-            # gamma = 1.0 is unsatisfiable, forcing exploration past the
-            # root state; a budget of 1 must trip on the first recursion.
-            top_down_search(oracle, 4, h1, 1.0, max_states=1)
+        with _inline(paper_graph, oracle) as executor:
+            with pytest.raises(DecompositionError):
+                # gamma = 1.0 is unsatisfiable, forcing exploration past
+                # the root state; a budget of 1 must trip on the first
+                # expansion.
+                top_down_search(executor, 4, h1, 1.0, max_states=1)
 
     def test_exactness_against_enumeration(self):
         # On a tiny graph, GTD + large sample count must find exactly the
@@ -161,7 +171,8 @@ class TestTopDownSearch:
         samples = WorldSampleSet.from_graph(g, 4000, seed=11)
         oracle = GlobalTrussOracle(samples)
         gamma = 0.2
-        answers = top_down_search(oracle, 3, g, gamma)
+        with _inline(g, oracle) as executor:
+            answers = top_down_search(executor, 3, g, gamma)
         # Exact: each blade triangle has alpha = 0.6^3 = 0.216 >= 0.2 only
         # if the world is exactly that triangle... actually worlds
         # containing a blade triangle and spanning all its nodes. For the
@@ -179,35 +190,59 @@ class TestBottomUpSearch:
         samples = WorldSampleSet.from_graph(paper_graph, 1500, seed=5)
         oracle = GlobalTrussOracle(samples)
         component = paper_graph.subgraph(["q1", "q2", "v1", "v2", "v3"])
-        answers = bottom_up_search(oracle, 4, component, 0.1, rng=1)
+        with _inline(paper_graph, oracle) as executor:
+            answers = bottom_up_search(executor, oracle, 4, component, 0.1,
+                                       root=1)
         found = {frozenset(t.nodes()) for t in answers}
         assert frozenset({"q1", "v1", "v2", "v3"}) in found or frozenset(
             {"q2", "v1", "v2", "v3"}
         ) in found
 
-    def test_skip_covered_reduces_or_keeps_answers(self, paper_graph):
-        samples = WorldSampleSet.from_graph(paper_graph, 1000, seed=5)
-        oracle = GlobalTrussOracle(samples)
-        component = paper_graph.subgraph(["q1", "q2", "v1", "v2", "v3"])
-        fast = bottom_up_search(oracle, 4, component, 0.1, rng=1,
-                                skip_covered=True)
-        slow = bottom_up_search(oracle, 4, component, 0.1, rng=1,
-                                skip_covered=False)
-        fast_keys = {frozenset(t.edges()) for t in fast}
-        slow_keys = {frozenset(t.edges()) for t in slow}
-        assert fast_keys <= slow_keys
-
     def test_answers_satisfy_oracle(self, paper_graph):
         samples = WorldSampleSet.from_graph(paper_graph, 1000, seed=5)
         oracle = GlobalTrussOracle(samples)
         component = paper_graph.subgraph(["q1", "q2", "v1", "v2", "v3"])
-        for t in bottom_up_search(oracle, 4, component, 0.1, rng=1):
+        with _inline(paper_graph, oracle) as executor:
+            answers = bottom_up_search(executor, oracle, 4, component, 0.1,
+                                       root=1)
+        for t in answers:
             assert oracle.satisfies(t, 4, 0.1)
+
+    def test_inline_search_discards_no_evaluated_seed(self, monkeypatch):
+        # Speculative seed batches are for live pools only: inline, every
+        # evaluated seed is still uncovered when its result is merged.
+        evaluated = []
+        original = ParallelExecutor.map
+
+        def recording_map(self, name, payloads, *args, **kwargs):
+            payloads = list(payloads)
+            results = original(self, name, payloads, *args, **kwargs)
+            if name == "gbu-seed":
+                # p = (comp_edges, seed_edge, k, gamma, entropy)
+                evaluated.extend(
+                    (p[4][1:3], p[1], res) for p, res in zip(payloads, results)
+                )
+            return results
+
+        monkeypatch.setattr(ParallelExecutor, "map", recording_map)
+        graph = gnp_graph(13, 0.3, seed=2)
+        result = global_truss_decomposition(graph, 0.3, method="gbu",
+                                            seed=7, n_samples=60)
+        assert result.trusses
+        covered = {}  # per (k, component index)
+        for search, seed_edge, res in evaluated:
+            done = covered.setdefault(search, set())
+            assert edge_key(*seed_edge) not in done
+            if res:
+                done |= set(map(tuple, res))
+        assert any(covered.values())
 
     def test_impossible_k_returns_nothing(self, triangle):
         samples = WorldSampleSet.from_graph(triangle, 300, seed=5)
         oracle = GlobalTrussOracle(samples)
-        assert bottom_up_search(oracle, 5, triangle, 0.1, rng=1) == []
+        with _inline(triangle, oracle) as executor:
+            assert bottom_up_search(executor, oracle, 5, triangle, 0.1,
+                                    root=1) == []
 
 
 class TestRandomGraphCrossValidation:

@@ -1,11 +1,11 @@
 """Equivalence battery for intra-component frontier-sharded GTD.
 
-The contract under test (see ``docs/performance.md``): with an
-executor, the exact top-down search peels each component in
-round-synchronous frontier shards — and serialises to *the same bytes*
-as the serial DFS for every worker count, every shard boundary, every
-repetition, and straight through worker death and mid-peel
-kill/resume. Three structurally different families exercise it:
+The contract under test (see ``docs/performance.md``): the exact
+top-down search peels each component in round-synchronous frontier
+shards — and serialises to *the same bytes* for every worker count
+(``None`` runs the shards on the inline executor), every shard
+boundary, every repetition, and straight through worker death and
+mid-peel kill/resume. Three structurally different families exercise it:
 
 * the Lemma 2 windmill (exponentially many maximal answers, heavy
   answer dedup across shards),
@@ -28,14 +28,18 @@ from hypothesis import strategies as st
 from repro.core.global_decomp import (
     _canonical_edge_list,
     _frontier_shards,
+    _prune_to_structural_ktruss,
     global_truss_decomposition,
 )
 from repro.exceptions import CheckpointError, ComputationInterrupted
+from repro.graphs.components import edge_connected_components
 from repro.graphs.generators import (
     planted_truss_graph,
     powerlaw_cluster_graph,
     windmill_graph,
 )
+from repro.graphs.sampling import WorldSampleSet
+from repro.parallel import ParallelExecutor
 from repro.runtime import FaultPlan, run_global, serialize_global_result
 from repro.runtime.checkpoint import CheckpointStore
 
@@ -108,6 +112,36 @@ class TestFrontierSharding:
 
     def test_empty_frontier_yields_no_shards(self):
         assert _frontier_shards([], 4) == []
+
+    def test_shard_never_returns_a_successor_twice(self):
+        # gamma = 1 fails every candidate, so the whole shard expands.
+        graph, _ = _planted()
+        samples = WorldSampleSet.from_graph(graph, N_SAMPLES, seed=9)
+        comp_edges = tuple(graph.edges())
+        root = _canonical_edge_list(graph)
+        shard = [root] + [
+            [e for e in root if e != dropped] for dropped in root[:6]
+        ]
+        with ParallelExecutor(1, graph=graph, samples=samples) as executor:
+            [result] = executor.map("gtd-frontier",
+                                    [(comp_edges, shard, 3, 1.0)])
+        emitted = [frozenset(map(tuple, succ))
+                   for kind, data in result for succ in data]
+        assert [kind for kind, _ in result] == ["exp"] * len(shard)
+        assert len(emitted) == len(set(emitted))
+        # Only repeats were dropped: the emitted set is the full
+        # single-edge-deletion closure of the shard.
+        closure = set()
+        generated = 0
+        for cand in shard:
+            for dropped in cand:
+                pruned = _prune_to_structural_ktruss(
+                    graph, set(cand) - {dropped}, 3)
+                for cluster in edge_connected_components(graph, pruned):
+                    closure.add(frozenset(cluster))
+                    generated += 1
+        assert set(emitted) == closure
+        assert generated > len(closure)  # the shard did repeat itself
 
     def test_canonical_edge_list_is_sorted(self):
         graph, _ = _planted()
@@ -190,8 +224,10 @@ class TestFrontierFaults:
         assert quarantined[0]["task"] == "gtd-frontier"
         assert quarantined[0]["fallback"] == "gbu"
 
-    @pytest.mark.parametrize("resume_workers", [2, 4])
+    @pytest.mark.parametrize("resume_workers", [None, 2, 4])
+    @pytest.mark.parametrize("killed_workers", [None, 2])
     def test_kill_resume_lands_on_round_boundary(self, tmp_path,
+                                                 killed_workers,
                                                  resume_workers):
         graph, gamma = _planted()
         baseline = serialize_global_result(
@@ -200,8 +236,8 @@ class TestFrontierFaults:
         ck = tmp_path / "ck"
         plan = FaultPlan().sigint_at("gtd-frontier", 0)
         with pytest.raises(ComputationInterrupted):
-            self.full_run(graph, gamma, workers=2, checkpoint_dir=ck,
-                          progress=plan)
+            self.full_run(graph, gamma, workers=killed_workers,
+                          checkpoint_dir=ck, progress=plan)
         assert plan.fired == [("gtd-frontier", 0)]
         # The interrupt landed after the round's snapshot was written.
         snapshot = CheckpointStore(ck).load_frontier()

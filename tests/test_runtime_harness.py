@@ -268,8 +268,9 @@ class TestCrossProcessDeterminism:
 
     def test_peel_output_is_hash_seed_independent(self, tmp_path):
         """The peel's bucket queue pops from hash-ordered sets; local
-        truss and (3, 4)-nucleus output on a string-node graph must not
-        depend on PYTHONHASHSEED."""
+        truss, (3, 4)-nucleus and serial GTD output (truss listing
+        order included) on a string-node graph must not depend on
+        PYTHONHASHSEED."""
         import os
         import pathlib
         import subprocess
@@ -284,10 +285,18 @@ class TestCrossProcessDeterminism:
             graph.add_edge(f"n{u}", f"n{v}", p)
         path = tmp_path / "strings.txt"
         write_edge_list(graph, path)
+        # Exact GTD needs a smaller graph to finish in test time.
+        small = ProbabilisticGraph()
+        for u, v, p in planted_clique_graph(2, 5, seed=2).edges_with_probabilities():
+            small.add_edge(f"n{u}", f"n{v}", p)
+        small_path = tmp_path / "small.txt"
+        write_edge_list(small, small_path)
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         commands = (
             ["local", str(path), "--gamma", "0.3", "--verbose"],
             ["nucleus", str(path), "--gamma", "0.3", "--r", "3", "--s", "4",
+             "--verbose"],
+            ["global", str(small_path), "--gamma", "0.3", "--method", "gtd",
              "--verbose"],
         )
         for command in commands:
@@ -312,3 +321,11 @@ class TestCheckpointSeedDiscipline:
         with pytest.raises(CheckpointError, match="reproducible seed"):
             run_global(graph, 0.3, seed=np.random.default_rng(0),
                        checkpoint_dir=tmp_path)
+
+    def test_none_seed_with_checkpoint_is_rejected_when_serial(self,
+                                                               tmp_path):
+        # Serial GBU roots its per-seed streams like the pooled one: a
+        # root drawn from a None seed would differ after resume.
+        with pytest.raises(CheckpointError, match="int seed"):
+            run_global(running_example(), 0.3, seed=None,
+                       checkpoint_dir=tmp_path, workers=None)
