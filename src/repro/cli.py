@@ -163,10 +163,7 @@ def _cmd_local(args: argparse.Namespace) -> int:
         partial = run_local(
             graph, args.gamma, method=args.method,
             budget=_make_budget(args), checkpoint_dir=args.checkpoint,
-            resume=args.resume, progress=progress, workers=args.workers,
-            task_timeout=args.task_timeout,
-            task_cpu_timeout=args.task_cpu_timeout,
-            max_task_retries=args.max_task_retries,
+            resume=args.resume, progress=progress,
         )
     if watchdog is not None:
         print(watchdog.status())
@@ -194,10 +191,7 @@ def _cmd_nucleus(args: argparse.Namespace) -> int:
         partial = run_nucleus(
             graph, args.r, args.s, args.gamma, method=args.method,
             budget=_make_budget(args), checkpoint_dir=args.checkpoint,
-            resume=args.resume, progress=progress, workers=args.workers,
-            task_timeout=args.task_timeout,
-            task_cpu_timeout=args.task_cpu_timeout,
-            max_task_retries=args.max_task_retries,
+            resume=args.resume, progress=progress,
         )
     if watchdog is not None:
         print(watchdog.status())
@@ -642,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dp", "baseline"], default="dp")
     p.add_argument("--verbose", action="store_true")
     _add_runtime_options(p)
-    _add_workers_option(p)
     p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser(
@@ -659,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dp", "baseline"], default="dp")
     p.add_argument("--verbose", action="store_true")
     _add_runtime_options(p)
-    _add_workers_option(p)
     p.set_defaults(func=_cmd_nucleus)
 
     p = sub.add_parser("global", help="global (k, gamma)-truss decomposition")
@@ -789,9 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (default 0 = ephemeral; the bound "
                         "address is printed on startup)")
     p.add_argument("--workers", type=_workers_arg, default=None, metavar="N",
-                   help="worker processes for background index builds "
-                        "('auto' = CPU count); results are bit-identical "
-                        "for every N")
+                   help="worker processes for background global index "
+                        "builds ('auto' = CPU count); results are "
+                        "bit-identical for every N")
     p.add_argument("--default-deadline", type=float, default=5.0,
                    metavar="SECONDS",
                    help="per-request deadline when the client sends none; "

@@ -655,9 +655,7 @@ def global_truss_decomposition(
         root = int(rng.integers(0, np.iinfo(np.int64).max))
     try:
         if local_result is None:
-            local_result = local_truss_decomposition(
-                graph, gamma, executor=executor
-            )
+            local_result = local_truss_decomposition(graph, gamma)
         elif abs(local_result.gamma - gamma) > 1e-15:
             raise ParameterError(
                 "local_result was computed for a different gamma "

@@ -109,7 +109,6 @@ def local_truss_decomposition(
     gamma: float,
     method: str = "dp",
     progress=None,
-    executor=None,
 ) -> LocalTrussResult:
     """Run Algorithm 1: compute the local trussness of every edge.
 
@@ -130,14 +129,10 @@ def local_truss_decomposition(
         assigned so far (which is final — peeling emits tau in
         nondecreasing order) is attached to the exception's ``partial``
         attribute when it has one.
-    executor:
-        Optional :class:`~repro.parallel.ParallelExecutor`. The initial
-        O(k_e^2) support DPs — the one embarrassingly parallel stage of
-        Algorithm 1 — are then computed in chunks across its workers
-        through the ``nucleus-cell`` task. The peeling itself stays
-        serial: it is an inherently sequential bucket-queue scan. Every
-        worker count, ``None`` included, folds the triangle factors in
-        the same canonical order, so the trussness is byte-identical.
+
+    The initial O(k_e^2) support DPs run serially in this process,
+    batched across edges with the same number of triangles; the peel is
+    an inherently sequential bucket-queue scan.
 
     Returns
     -------
@@ -145,7 +140,7 @@ def local_truss_decomposition(
         Per-edge trussness plus accessors for maximal trusses.
     """
     result = nucleus_decomposition(graph, 2, 3, gamma, method=method,
-                                   progress=progress, executor=executor)
+                                   progress=progress)
     return LocalTrussResult(graph=graph, gamma=gamma,
                             trussness=result.scores, method=method)
 

@@ -33,8 +33,10 @@ is also the engine behind
 numbering ``k = support threshold + 2`` is kept for every (r, s).
 
 All factor orderings here are canonical (apexes in
-:func:`~repro.truss.nucleus.clique_key` order), so serial runs and
-every executor worker count produce byte-identical scores.
+:func:`~repro.truss.nucleus.clique_key` order), and every initial PMF
+comes from one row-batched :func:`~repro.core.support_prob.support_pmfs`
+call per apex count, bit-identical to the one-cell DP — so the scores
+are byte-stable across processes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.support_prob import SupportProbability, support_pmf
+from repro.core.support_prob import SupportProbability, support_pmfs
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.truss.nucleus import (
@@ -58,7 +60,6 @@ __all__ = [
     "nucleus_decomposition",
     "clique_probability",
     "apex_factor",
-    "nucleus_cell",
 ]
 
 Node = Hashable
@@ -152,28 +153,6 @@ def apex_factor(graph: ProbabilisticGraph, cell: Clique, x: Node) -> float:
     return q
 
 
-def nucleus_cell(
-    graph: ProbabilisticGraph, gamma: float, cell: Clique,
-    apexes: Clique | None = None, prob: float | None = None,
-) -> tuple[list[float], list[float], int]:
-    """Initial support state of one r-clique: ``(qs, pmf, level)``.
-
-    The single authoritative float path for cell initialisation — the
-    serial loop and the ``nucleus-cell`` pool task both call this, which
-    is what makes every worker count byte-identical. ``apexes`` (in
-    canonical order) and ``prob`` (the clique's existence probability)
-    are computed here unless the caller already holds them.
-    """
-    if apexes is None:
-        apexes = _canonical_apexes(graph, cell)
-    if prob is None:
-        prob = clique_probability(graph, cell)
-    qs = [apex_factor(graph, cell, x) for x in apexes]
-    pmf = support_pmf(qs)
-    level = SupportProbability.from_factors(qs, pmf).level(gamma, prob)
-    return qs, pmf, level
-
-
 @dataclass
 class NucleusResult:
     """Outcome of a probabilistic (r, s)-nucleus decomposition.
@@ -253,7 +232,6 @@ def nucleus_decomposition(
     gamma: float,
     method: str = "dp",
     progress=None,
-    executor=None,
 ) -> NucleusResult:
     """Compute the probabilistic (r, s)-nucleus score of every r-clique.
 
@@ -263,7 +241,9 @@ def nucleus_decomposition(
     (Eq. 8 deconvolution for ``method="dp"``, full O(k^2) recompute for
     ``method="baseline"``). This is the one peel engine of the package:
     :func:`~repro.core.local.local_truss_decomposition` is its
-    ``(2, 3)`` instance.
+    ``(2, 3)`` instance. The initial support PMFs are computed serially
+    in this process, one batched
+    :func:`~repro.core.support_prob.support_pmfs` call per apex count.
 
     Parameters
     ----------
@@ -282,11 +262,6 @@ def nucleus_decomposition(
         ``_PROGRESS_INTERVAL`` peeled cliques. A raising hook aborts
         the peel; scores assigned so far (final — emitted in
         nondecreasing order) are attached as ``err.partial``.
-    executor:
-        Optional :class:`~repro.parallel.ParallelExecutor`; the initial
-        support DPs then fan out in chunks via the ``nucleus-cell``
-        task. Scores are byte-identical for every worker count
-        (including ``None``): all factor orderings are canonical.
 
     Returns
     -------
@@ -302,26 +277,19 @@ def nucleus_decomposition(
     apexes = {cell: _canonical_apexes(graph, cell) for cell in cells}
     probs = {cell: clique_probability(graph, cell) for cell in cells}
 
+    # Algorithm 2 for every cell up front: one row-batched DP per apex
+    # count. `levels` is built in `cells` order whatever the grouping,
+    # because the bucket queue pops in insertion order.
+    groups: dict[int, list[Clique]] = {}
+    for cell in cells:
+        groups.setdefault(len(apexes[cell]), []).append(cell)
     pmfs: dict[Clique, SupportProbability] = {}
-    levels: dict[Clique, int] = {}
-    if executor is not None and cells:
-        # A few chunks per worker keeps stragglers short without
-        # drowning the pool in dispatch overhead.
-        size = max(1, -(-len(cells) // (executor.pool_workers * 4)))
-        payloads = [
-            (r, gamma, cells[i:i + size]) for i in range(0, len(cells), size)
-        ]
-        for chunk in executor.map("nucleus-cell", payloads, progress=progress):
-            for cell, qs, pmf, level in chunk:
-                cell = tuple(cell)
-                pmfs[cell] = SupportProbability.from_factors(qs, pmf)
-                levels[cell] = level
-    else:
-        for cell in cells:
-            qs, pmf, level = nucleus_cell(graph, gamma, cell, apexes[cell],
-                                          probs[cell])
+    for group in groups.values():
+        rows = [[apex_factor(graph, cell, x) for x in apexes[cell]]
+                for cell in group]
+        for cell, qs, pmf in zip(group, rows, support_pmfs(rows)):
             pmfs[cell] = SupportProbability.from_factors(qs, pmf)
-            levels[cell] = level
+    levels = {cell: pmfs[cell].level(gamma, probs[cell]) for cell in cells}
 
     queue = _LevelBuckets(levels)
     alive = queue.level

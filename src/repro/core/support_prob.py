@@ -7,7 +7,9 @@ contributes a triangle independently with probability
 ``q_w = p(w, u) * p(w, v)``, so ``sup(e)`` is Poisson-binomial over the
 ``q_w``. This module computes its PMF:
 
-* :func:`support_pmf` — the O(k_e^2) dynamic program of Algorithm 2;
+* :func:`support_pmfs` — the O(k_e^2) dynamic program of Algorithm 2,
+  run on many equal-length factor rows at once (:func:`support_pmf` is
+  its one-row case);
 * :class:`SupportProbability` — a live PMF that supports the O(k_e)
   *deconvolution* update of Eq. (8) when a triangle is destroyed by an
   edge removal (the key to the efficient local decomposition);
@@ -30,6 +32,7 @@ from repro.graphs.probabilistic import ProbabilisticGraph
 __all__ = [
     "triangle_probabilities",
     "support_pmf",
+    "support_pmfs",
     "support_pmf_reference",
     "support_tail",
     "support_pmf_bruteforce",
@@ -63,7 +66,7 @@ def support_pmf_reference(qs: Sequence[float]) -> list[float]:
     """Pure-Python rolling-array DP — differential reference.
 
     Same recurrence, element at a time. IEEE addition and
-    multiplication make :func:`support_pmf`'s vectorized convolution
+    multiplication make :func:`support_pmfs`'s vectorized convolution
     step bit-identical to this loop (each output element is the sum of
     the same two products), so the two agree exactly, not just within
     tolerance — the property the differential tests assert.
@@ -85,23 +88,44 @@ def support_pmf(qs: Sequence[float]) -> list[float]:
 
     ``qs`` are the per-triangle probabilities ``q_w``; the result ``f``
     has length ``len(qs) + 1`` with ``f[i] = Pr[sup(e) = i | e exists]``.
-    This is Algorithm 2's dynamic program: processing common neighbours
-    one at a time, ``f(i, l) = q_l f(i-1, l-1) + (1 - q_l) f(i, l-1)``,
-    with the inner convolution step as two vectorized numpy shifts
-    instead of the per-element Python loop (bit-identical to
-    :func:`support_pmf_reference`).
+    This is the one-row case of :func:`support_pmfs`.
+    """
+    return support_pmfs([list(qs)])[0]
+
+
+def support_pmfs(rows: Sequence[Sequence[float]]) -> list[list[float]]:
+    """Run Algorithm 2's dynamic program on many factor rows at once.
+
+    ``rows`` is an ``m x width`` collection of equal-length factor rows
+    (one row per edge or r-clique); the result holds each row's PMF, of
+    length ``width + 1``. Processing factor ``l`` of every row at once,
+    ``f(i, l) = q_l f(i-1, l-1) + (1 - q_l) f(i, l-1)`` becomes two
+    shifted whole-matrix updates. The batch only runs *across* rows:
+    every element goes through the same IEEE operations as
+    :func:`support_pmf_reference` (the sum of the same two products), so
+    each row is bit-identical to it.
     """
     import numpy as np
 
-    qs = list(qs)
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
-    f = np.ones(1, dtype=np.float64)
-    for q in qs:
-        nxt = np.zeros(f.size + 1, dtype=np.float64)
-        nxt[:-1] += (1.0 - q) * f
-        nxt[1:] += q * f
+    if not rows:
+        return []
+    try:
+        q = np.array(rows, dtype=np.float64)
+    except ValueError:
+        raise ParameterError("factor rows must all have one length") from None
+    if q.ndim != 2:
+        raise ParameterError("factor rows must all have one length")
+    bad = ~((q >= 0.0) & (q <= 1.0))  # also catches NaN
+    if bad.any():
+        raise ParameterError(
+            f"triangle probability must be in [0, 1], got {float(q[bad][0])}"
+        )
+    f = np.ones((q.shape[0], 1), dtype=np.float64)
+    for j in range(q.shape[1]):
+        col = q[:, j:j + 1]
+        nxt = np.zeros((f.shape[0], j + 2), dtype=np.float64)
+        nxt[:, :-1] += (1.0 - col) * f
+        nxt[:, 1:] += col * f
         f = nxt
     return f.tolist()
 
@@ -185,10 +209,10 @@ class SupportProbability:
     ) -> "SupportProbability":
         """Wrap a PMF together with the triangle factors that produced it.
 
-        ``pmf`` must be ``support_pmf(qs)`` computed elsewhere — this is
-        the hand-off used when the O(k_e^2) initial DPs are computed in
-        worker processes and shipped back: the parent rebuilds a fully
-        functional object (recompute safety net included) without
+        ``pmf`` must be ``support_pmf(qs)`` computed elsewhere — the
+        nucleus engine computes every initial PMF in one batched
+        :func:`support_pmfs` call and wraps each result here, getting a
+        fully functional object (recompute safety net included) without
         re-running the DP.
         """
         qs = [float(q) for q in qs]

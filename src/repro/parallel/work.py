@@ -18,8 +18,8 @@ or in which order tasks complete:
   payload — never from shared stream state;
 * graphs rebuilt inside workers insert edges in the exact order the
   parent used (``edge_subgraph`` canonicalises construction order);
-* anything order-sensitive (apex choice, qs factors) is sorted by a
-  canonical node key before use.
+* anything order-sensitive (successor clusters, GBU edge lists) is
+  sorted by a canonical edge key before use.
 
 The same task functions run *inline* in the parent process when
 ``workers=1`` — that is the reference the equivalence tests compare
@@ -33,7 +33,6 @@ import numpy as np
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.global_truss import GlobalTrussOracle
 from repro.core.kernels import classify_worlds_packed
-from repro.core.nucleus import nucleus_cell
 from repro.core.reliability import count_connected_rows
 from repro.parallel.shared import SharedSamplesHandle, attach_samples
 
@@ -51,11 +50,7 @@ CANCELLED = "__repro-parallel-cancelled__"
 
 #: Shared counters the parent's progress pump reads; one slot per
 #: worker-emitted phase.
-COUNTER_PHASES = ("oracle-eval", "gtd-state", "nucleus-init",
-                  "reliability-rows")
-
-#: Cliques between cancel-flag polls in the nucleus-cell loop.
-_CANCEL_POLL = 32
+COUNTER_PHASES = ("oracle-eval", "gtd-state", "reliability-rows")
 
 
 class _WorkerCancelled(Exception):
@@ -257,28 +252,6 @@ def _calibrate(state: WorkerState, payload):
     return None
 
 
-def _nucleus_cell(state: WorkerState, payload):
-    """Run the initial support DPs for a chunk of r-cliques.
-
-    Payload: ``(r, gamma, cells)`` with each cell a canonical clique
-    tuple; ``r = 2`` cells are the edges of a local truss decomposition.
-    The float path is :func:`repro.core.nucleus.nucleus_cell`, which
-    folds the serial initialisation's factors in the same canonical
-    apex order, so every worker count (including the inline parent)
-    produces byte-identical ``(qs, pmf, level)`` triples.
-    """
-    _r, gamma, cells = payload
-    out = []
-    for i, cell in enumerate(cells):
-        if i % _CANCEL_POLL == 0:
-            state.check_cancel()
-        cell = tuple(cell)
-        qs, pmf, level = nucleus_cell(state.graph, gamma, cell)
-        out.append((cell, qs, pmf, level))
-    state.bump("nucleus-init", len(cells))
-    return out
-
-
 def _reliability_block(state: WorkerState, payload):
     """Count connected worlds in one batch of reliability samples.
 
@@ -301,7 +274,6 @@ TASKS = {
     "calibrate": _calibrate,
     "gbu-seed": _gbu_seed,
     "gtd-frontier": _gtd_frontier,
-    "nucleus-cell": _nucleus_cell,
     "oracle-block": _oracle_block,
     "reliability-block": _reliability_block,
 }

@@ -637,21 +637,13 @@ def _run_global_compute(
     """
     # -- stage 2: local pruning (Eq. 11 candidate generation) ---------
     try:
-        local_result = local_truss_decomposition(graph, gamma, progress=hook,
-                                                 executor=executor)
+        local_result = local_truss_decomposition(graph, gamma, progress=hook)
     except BudgetExceededError as err:
         degr.note(f"budget exhausted during local pruning: {err}")
         write_manifest()
         return finish(None, complete=False)
     except MemoryError as err:
         degr.note(f"out of memory during local pruning: {err}")
-        write_manifest()
-        return finish(None, complete=False)
-    except TaskQuarantinedError as err:
-        # The PMF-init DPs are exact prerequisites with no sound
-        # degradation: a poison chunk means no candidate set, so the run
-        # ends with an honest incomplete result naming the payloads.
-        degr.note(f"local pruning quarantined poison payloads: {err}")
         write_manifest()
         return finish(None, complete=False)
     except ComputationInterrupted as err:
@@ -783,24 +775,20 @@ def run_local(
     progress=None,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
-    task_timeout: float | None = None,
-    task_cpu_timeout: float | None = None,
-    max_task_retries: int | None = None,
 ) -> PartialResult:
     """Run a local decomposition under the harness.
 
     The local truss decomposition is the (2, 3) case of
     :func:`run_nucleus`, which does all the work — budgets, checkpoints
-    (a (2, 3) manifest), salvage, workers; this adapter only reports
-    the scores as ``kind="local"``, a
-    :class:`~repro.core.local.LocalTrussResult`, and
-    ``edges_assigned``/``edges_total`` in ``detail``.
+    (a (2, 3) manifest), salvage; this adapter only reports the scores
+    as ``kind="local"``, a :class:`~repro.core.local.LocalTrussResult`,
+    and ``edges_assigned``/``edges_total`` in ``detail``. ``workers``
+    is validated and otherwise unused, as in :func:`run_nucleus`.
     """
     run = run_nucleus(
         graph, 2, 3, gamma, method=method, budget=budget,
         checkpoint_dir=checkpoint_dir, resume=resume, progress=progress,
-        on_corrupt=on_corrupt, workers=workers, task_timeout=task_timeout,
-        task_cpu_timeout=task_cpu_timeout, max_task_retries=max_task_retries,
+        on_corrupt=on_corrupt, workers=workers,
     )
     assert isinstance(run.result, NucleusResult)
     trussness = run.result.scores
@@ -826,9 +814,6 @@ def run_nucleus(
     progress=None,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
-    task_timeout: float | None = None,
-    task_cpu_timeout: float | None = None,
-    max_task_retries: int | None = None,
 ) -> PartialResult:
     """Run a probabilistic (r, s)-nucleus decomposition under the harness.
 
@@ -838,11 +823,17 @@ def run_nucleus(
     salvages the scores assigned so far — which are final, since peeling
     emits them in nondecreasing order — as a degraded partial result.
 
-    ``workers`` parallelises the initial support DPs through the
-    ``nucleus-cell`` task (the peeling stays serial); all factor
-    orderings are canonical, so every worker count (including None) is
-    byte-identical and shares one manifest format.
+    The whole run is serial and starts no worker pool: the initial
+    support DPs are one batched dynamic program per apex count, cheaper
+    than a pool start, and the peel is a sequential bucket-queue scan.
+    A non-None ``workers`` is validated like everywhere else
+    (:func:`~repro.parallel.resolve_workers`) and otherwise unused, so
+    callers that pass one keep working.
     """
+    if workers is not None:
+        from repro.parallel import resolve_workers
+
+        resolve_workers(workers)
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     params = {
         "kind": "nucleus",
@@ -885,27 +876,9 @@ def run_nucleus(
             }
             return to_partial(scores, complete=True)
 
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
     try:
         result = nucleus_decomposition(graph, r, s, gamma, method=method,
-                                       progress=hook, executor=executor)
-    except TaskQuarantinedError as err:
-        # nucleus-cell chunks are exact prerequisites: no sound
-        # degradation, so the run ends incomplete, naming the poison
-        # payloads.
-        return to_partial(
-            {}, complete=False,
-            reason=f"parallel init quarantined poison payloads: {err}",
-        )
+                                       progress=hook)
     except BudgetExceededError as err:
         partial = err.partial or {}
         return to_partial(
@@ -921,9 +894,6 @@ def run_nucleus(
     except ComputationInterrupted as err:
         _attach_checkpoint(err, store)
         raise
-    finally:
-        if executor is not None:
-            executor.close()
 
     if store is not None:
         store.save_manifest({
@@ -942,19 +912,6 @@ def run_nucleus(
 # ----------------------------------------------------------------------
 # Network reliability
 # ----------------------------------------------------------------------
-def _count_connected(graph: ProbabilisticGraph, edges, presence) -> int:
-    """Count rows of ``presence`` whose world connects all graph nodes.
-
-    Thin wrapper over
-    :func:`repro.core.reliability.count_connected_rows` — the *same*
-    function the ``reliability-block`` worker task runs, which is what
-    makes the parallel fan-out bit-identical to this serial path.
-    """
-    from repro.core.reliability import count_connected_rows
-
-    return count_connected_rows(list(graph.nodes()), list(edges), presence)
-
-
 def run_reliability(
     graph: ProbabilisticGraph,
     *,
@@ -979,18 +936,19 @@ def run_reliability(
     returns the estimate over the samples drawn so far with the
     honestly widened epsilon for the given ``delta``.
 
-    ``workers`` fans the connectivity classification across the worker
-    pool in windows of ``2 * workers`` batches while the RNG *draws*
-    stay strictly sequential in the parent — the sample stream, and
-    hence the estimate, is byte-identical for every worker count
-    (including the serial ``workers=None`` path; checkpoints are
-    interchangeable between all of them). Hit counts are additive over
-    disjoint batches, so merge order cannot matter. The parent captures
-    the RNG state before each draw, so a budget breach or interrupt
-    mid-window still writes a per-batch-accurate checkpoint. A
-    quarantined batch (supervision gave up on it) is dropped from both
-    numerator and denominator — the estimate stays unbiased over the
-    rows actually classified and epsilon widens accordingly.
+    Every batch is classified by the ``reliability-block`` task. With
+    ``workers`` > 1 the pool takes windows of ``2 * workers`` batches;
+    ``workers=None`` runs the same task on an inline executor, one batch
+    per window. The RNG *draws* stay strictly sequential in the parent,
+    so the sample stream, and hence the estimate, is byte-identical for
+    every worker count (checkpoints are interchangeable between all of
+    them). Hit counts are additive over disjoint batches, so merge order
+    cannot matter. The parent captures the RNG state before each draw,
+    so a budget breach or interrupt mid-window still writes a
+    per-batch-accurate checkpoint. A quarantined batch (supervision gave
+    up on it) is dropped from both numerator and denominator — the
+    estimate stays unbiased over the rows actually classified and
+    epsilon widens accordingly.
     """
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     seed = _require_plain_seed(seed, store is not None)
@@ -1014,7 +972,6 @@ def run_reliability(
     hits = 0
     batches_done = 0
     rows_skipped = 0
-    supervision = {"executor": None}
 
     manifest = None
     if store is not None and resume:
@@ -1041,7 +998,7 @@ def run_reliability(
 
     def finish(complete: bool) -> PartialResult:
         estimate = hits / samples_done if samples_done else None
-        quarantined, _ = _quarantine_report(supervision["executor"])
+        quarantined, _ = _quarantine_report(executor)
         detail = {"hits": hits}
         if quarantined:
             detail["quarantined"] = [q.to_dict() for q in quarantined]
@@ -1060,28 +1017,28 @@ def run_reliability(
             detail=detail,
         )
 
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
+    from repro.parallel import ParallelExecutor
+    from repro.parallel.supervisor import QUARANTINED
 
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-        supervision["executor"] = executor
+    # None means serial: the inline executor (0 would mean "auto").
+    executor = ParallelExecutor(
+        1 if workers is None else workers, graph=graph,
+        task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
+        max_task_retries=max_task_retries,
+        faults=_pool_faults_of(progress),
+    ).start()
     nodes = list(graph.nodes())
+    # Inline there is nothing to overlap: one batch per window keeps the
+    # budget check between every two draws.
+    window = 1 if executor.pool_workers == 1 else 2 * executor.pool_workers
     try:
         while batches_done < batcher.n_batches:
-            pooled = executor is not None and executor.pool_workers > 1
-            window = max(1, 2 * executor.pool_workers) if pooled else 1
             first = batches_done
             limit = min(batcher.n_batches, first + window)
             # Draw the whole window sequentially in the parent — the RNG
-            # stream is identical to the serial path for every worker
-            # count — capturing the state before each batch so the
-            # per-batch manifests below stay resume-accurate mid-window.
+            # stream is identical for every worker count — capturing the
+            # state before each batch so the per-batch manifests below
+            # stay resume-accurate mid-window.
             states = []
             rows_list = []
             payloads = []
@@ -1092,16 +1049,10 @@ def run_reliability(
                 payloads.append((nodes, edges, batcher.draw_presence(rows)))
             end_state = batcher.rng_state()
             try:
-                if pooled:
-                    counts = executor.map(
-                        "reliability-block", payloads, progress=hook,
-                        on_quarantine="skip",
-                    )
-                else:
-                    counts = [
-                        _count_connected(graph, edges, p[2])
-                        for p in payloads
-                    ]
+                counts = executor.map(
+                    "reliability-block", payloads, progress=hook,
+                    on_quarantine="skip",
+                )
             except MemoryError as err:
                 # Nothing from this window was merged; rewind the RNG so
                 # the manifest matches `batches_done` drawn batches.
@@ -1111,10 +1062,9 @@ def run_reliability(
                 )
                 write_manifest()
                 return finish(complete=False)
-            from repro.parallel.supervisor import QUARANTINED
 
             # Merge strictly in batch order: manifests and hook events
-            # fire per batch, exactly as in the serial loop.
+            # fire per batch, whatever the window.
             for offset, count in enumerate(counts):
                 j = first + offset
                 rows = rows_list[offset]
@@ -1153,8 +1103,7 @@ def run_reliability(
                     _attach_checkpoint(err, store)
                     raise
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
 
     write_manifest(status="complete")
     if store is not None and not store.degraded:

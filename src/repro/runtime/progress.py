@@ -47,10 +47,6 @@ Emitted phases
                     (r, s)-nucleus engine — Algorithm 1's edges when
                     r = 2 (``step`` = cliques scored so far, ``total``
                     = r-clique count)
-``nucleus-init``    (workers only) initial support DPs completed for
-                    another chunk of r-cliques (edges, for Algorithm
-                    1); counted in a shared counter and re-emitted by
-                    the pump (``step`` = cumulative cliques initialised)
 ``resource-pressure``  a resource probe crossed a pressure threshold or
                     a pressure response fired (``detail``: resource —
                     ``memory``/``disk``/``cpu`` —, action, observed
@@ -88,7 +84,7 @@ Checkpoints are written *before* the hook runs at each boundary, so a
 hook that raises never loses the batch it was notified about.
 
 With ``workers=N`` the in-worker phases (``oracle-eval``, ``gtd-state``,
-``nucleus-init`` chunks) are counted in shared counters and re-emitted by
+``reliability-rows``) are counted in shared counters and re-emitted by
 the parent's pump thread as *coalesced* events: ``step`` then carries
 the counter delta since the previous pump rather than a per-call index.
 Hooks that only rate-limit or abort (budgets, interrupt guards) are
@@ -113,7 +109,6 @@ __all__ = ["KNOWN_PHASES", "ProgressEvent", "ProgressHook", "chain_hooks"]
 KNOWN_PHASES = frozenset({
     "sample-batch",
     "nucleus-peel",
-    "nucleus-init",
     "global-level",
     "global-level-done",
     "gtd-state",

@@ -329,14 +329,12 @@ class TrussService:
             return run_nucleus(
                 graph, key.r, key.s, key.gamma, method=key.method,
                 checkpoint_dir=entry.checkpoint_dir, resume=True,
-                progress=hook, workers=self.config.workers,
-                on_corrupt="restart",
+                progress=hook, on_corrupt="restart",
             )
         return run_local(
             graph, key.gamma, method=key.method,
             checkpoint_dir=entry.checkpoint_dir, resume=True,
-            progress=hook, workers=self.config.workers,
-            on_corrupt="restart",
+            progress=hook, on_corrupt="restart",
         )
 
     def payload_of(self, key: IndexKey,

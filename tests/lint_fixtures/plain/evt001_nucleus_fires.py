@@ -1,7 +1,7 @@
 """EVT001 positive: a nucleus phase nobody registered.
 
-The nucleus decomposition vocabulary (``nucleus-peel``,
-``nucleus-init``) lives in ``KNOWN_PHASES`` like every other phase;
+The nucleus decomposition vocabulary (``nucleus-peel``) lives in
+``KNOWN_PHASES`` like every other phase;
 inventing a new ``nucleus-*`` literal at an emission site without
 registering it is exactly the typo EVT001 exists to catch.
 """

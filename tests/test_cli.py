@@ -25,7 +25,7 @@ class TestParser:
 
     def test_workers_int_and_auto(self):
         args = build_parser().parse_args(
-            ["local", "fruitfly", "--gamma", "0.5", "--workers", "4"])
+            ["global", "fruitfly", "--gamma", "0.5", "--workers", "4"])
         assert args.workers == 4
         args = build_parser().parse_args(
             ["global", "fruitfly", "--gamma", "0.5", "--workers", "auto"])
@@ -34,7 +34,7 @@ class TestParser:
     def test_workers_rejects_garbage(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["local", "fruitfly", "--gamma", "0.5", "--workers", "lots"])
+                ["global", "fruitfly", "--gamma", "0.5", "--workers", "lots"])
 
 
 class TestCommands:
@@ -132,16 +132,9 @@ class TestCommands:
     def test_negative_workers_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         write_edge_list(running_example(), path)
-        assert main(["local", str(path), "--gamma", "0.125",
+        assert main(["global", str(path), "--gamma", "0.125",
                      "--workers", "-1"]) == 2
         assert "workers" in capsys.readouterr().err
-
-    def test_local_with_one_worker(self, tmp_path, capsys):
-        path = tmp_path / "g.txt"
-        write_edge_list(running_example(), path)
-        assert main(["local", str(path), "--gamma", "0.125",
-                     "--workers", "1"]) == 0
-        assert "k_max=4" in capsys.readouterr().out
 
     def test_global_with_workers_matches_single_worker(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

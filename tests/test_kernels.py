@@ -17,8 +17,9 @@ paths rely on:
   reference row for row;
 * ``classify_worlds_packed`` equals ``classify_worlds`` for every k,
   for RAM-resident and spilled (memmapped) sample sets alike;
-* the float kernels (``support_pmf``, oracle estimates) are
-  *bit-identical* to their references, not just close.
+* the float kernels (``support_pmf``, the row-batched
+  ``support_pmfs``, oracle estimates) are *bit-identical* to their
+  references, not just close.
 
 The peak-allocation regression test at the bottom guards the point of
 the whole module: classifying a spilled sample set must not
@@ -38,7 +39,12 @@ from repro.core.global_truss import (
     classify_worlds,
     world_is_connected_ktruss,
 )
-from repro.core.support_prob import support_pmf, support_pmf_reference
+from repro.core.support_prob import (
+    support_pmf,
+    support_pmf_reference,
+    support_pmfs,
+)
+from repro.exceptions import ParameterError
 from repro.truss.support import edge_supports, edge_supports_reference
 
 from .strategies import (
@@ -401,6 +407,32 @@ class TestSupportPmfKernel:
         # makes the vectorised accumulation exactly the scalar one.
         for a, b in zip(got, want):
             assert a == b
+
+    @given(rows=st.integers(0, 30).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(0.0, 1.0)),
+                 min_size=width, max_size=width),
+        min_size=0, max_size=6)))
+    @settings(max_examples=80, deadline=None)
+    def test_batched_rows_bit_identical_to_reference(self, rows):
+        # Exact list equality: batching across rows must leave each
+        # row's IEEE operation sequence untouched.
+        assert support_pmfs(rows) == [support_pmf_reference(r) for r in rows]
+
+    def test_zero_width_rows(self):
+        assert support_pmfs([[], [], []]) == [[1.0], [1.0], [1.0]]
+        assert support_pmfs([]) == []
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 1.5]],
+        [[0.5, 1.0 + 1e-12]],
+        [[0.2], [-0.1]],
+        [[0.3, float("nan")]],
+        [[0.2], [0.3, 0.4]],
+    ])
+    def test_bad_rows_raise(self, rows):
+        with pytest.raises(ParameterError):
+            support_pmfs(rows)
 
 
 class TestSpilledPeakAllocation:

@@ -42,8 +42,8 @@ from repro import (
     truss_decomposition,
 )
 from repro.core.local_iterative import local_truss_decomposition_iterative
-from repro.core.nucleus import apex_factor, clique_probability, nucleus_cell
-from repro.core.support_prob import support_pmf_bruteforce
+from repro.core.nucleus import apex_factor, clique_probability
+from repro.core.support_prob import support_pmf, support_pmf_bruteforce
 from repro.runtime.result import serialize_nucleus_result
 from repro.truss.nucleus import (
     SUPPORTED_RS,
@@ -171,7 +171,7 @@ class TestTwoThreeEqualsLocalTruss:
             assert set(res.nucleus_edges(k)) == expected
 
     def test_workers_byte_identity(self, tmp_path):
-        # The executor fan-out must not perturb a single bit: the
+        # The peel runs serially whatever ``workers`` says: the
         # serialized result is compared across workers {None, 1, 2}
         # for both families.
         g = planted_clique_graph(2, 5, 7)
@@ -265,7 +265,8 @@ class TestWorldEnumeration:
             for r, s in SUPPORTED_RS:
                 for cell in enumerate_r_cliques(g, r)[:6]:
                     apexes = sorted(apex_candidates(g, cell), key=repr)
-                    qs, pmf, _level = nucleus_cell(g, 0.5, cell)
+                    qs = [apex_factor(g, cell, x) for x in apexes]
+                    pmf = support_pmf(qs)
                     prob = clique_probability(g, cell)
                     for t in range(len(qs) + 1):
                         dp_mass = prob * sum(pmf[t:])
@@ -274,6 +275,86 @@ class TestWorldEnumeration:
                         assert math.isclose(
                             dp_mass, world_mass, rel_tol=0, abs_tol=1e-12), (
                             seed, r, s, cell, t)
+
+
+def interleaved_apex_graphs() -> dict:
+    """``{name: (graph, families)}`` whose r-clique enumeration
+    interleaves apex counts. (3, 4) cells of a string-node graph are
+    still enumerated in hash-dependent set order, whatever the init
+    does, so only the int-node graph pins that family across hash
+    seeds."""
+    ints = planted_clique_graph(3, 5, seed=2)
+    strings = ProbabilisticGraph()
+    for u, v, p in ints.edges_with_probabilities():
+        strings.add_edge(f"n{u}", f"n{v}", p)
+    return {"int": (ints, [(2, 3), (3, 4)]), "str": (strings, [(2, 3)])}
+
+
+def score_orders() -> list:
+    """``list(scores.items())`` of every graph/family above, in order."""
+    return [
+        list(nucleus_decomposition(g, r, s, 0.3).scores.items())
+        for g, families in interleaved_apex_graphs().values()
+        for r, s in families
+    ]
+
+
+class TestBatchedInitOrder:
+    """The initial PMFs come from one batched DP per apex count, but the
+    bucket queue pops in insertion order, so the peel — and with it the
+    order of the score dict — must follow the r-clique enumeration, not
+    the grouping. The graphs here interleave apex counts along that
+    enumeration, so an init that filled levels group by group would
+    reorder the peel."""
+
+    def test_cells_interleave_apex_counts(self):
+        for name, (g, families) in interleaved_apex_graphs().items():
+            for r, _s in families:
+                counts = [len(apex_candidates(g, cell))
+                          for cell in enumerate_r_cliques(g, r)]
+                runs = [c for i, c in enumerate(counts)
+                        if i == 0 or c != counts[i - 1]]
+                assert len(runs) > len(set(runs)), (name, r, counts)
+
+    def test_queue_is_filled_in_enumeration_order(self, monkeypatch):
+        import repro.core.nucleus as engine
+
+        seen = []
+
+        class Capture(engine._LevelBuckets):
+            def __init__(self, levels):
+                seen.append(list(levels))
+                super().__init__(levels)
+
+        monkeypatch.setattr(engine, "_LevelBuckets", Capture)
+        for g, families in interleaved_apex_graphs().values():
+            for r, s in families:
+                seen.clear()
+                nucleus_decomposition(g, r, s, 0.3)
+                assert seen == [enumerate_r_cliques(g, r)]
+
+    def test_score_order_is_hash_seed_independent(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        script = (
+            "from tests.test_nucleus_differential import score_orders\n"
+            "print(score_orders())\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(repo_root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env=env, cwd=repo_root,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 class TestContainmentMonotonicity:

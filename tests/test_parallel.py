@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.global_decomp import global_truss_decomposition
-from repro.core.local import local_truss_decomposition
 from repro.exceptions import (
     CheckpointError,
     ComputationInterrupted,
@@ -133,13 +132,6 @@ class TestInlineExecutor:
         graph = running_example()
         with ParallelExecutor(1, graph=graph) as ex:
             assert ex.pool_workers == 1
-
-    def test_local_trussness_matches_legacy(self):
-        graph = mixed_graph()
-        legacy = local_truss_decomposition(graph, GAMMA)
-        with ParallelExecutor(1, graph=graph) as ex:
-            inline = local_truss_decomposition(graph, GAMMA, executor=ex)
-        assert inline.trussness == legacy.trussness
 
 
 class TestParallelEquivalence:

@@ -17,6 +17,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.global_decomp import global_truss_decomposition
@@ -37,7 +38,6 @@ from repro.parallel import (
 from repro.runtime import (
     FaultPlan,
     run_global,
-    run_local,
     run_reliability,
     serialize_global_result,
 )
@@ -68,11 +68,16 @@ def two_component_graph() -> ProbabilisticGraph:
     return graph
 
 
-def cell_payloads(graph, chunk: int = 1) -> list:
-    """``nucleus-cell`` payloads over the graph's edges (r = 2 cells)."""
-    cells = [(u, v) for u, v, _ in graph.edges_with_probabilities()]
+def block_payloads(graph, blocks: int = 8, rows: int = 16) -> list:
+    """``reliability-block`` payloads: seeded presence batches over the
+    graph's edges. The task is a pure function of its payload, so an
+    inline map is the reference every pooled map must reproduce."""
+    nodes = list(graph.nodes())
+    edges = [(u, v) for u, v, _ in graph.edges_with_probabilities()]
+    rng = np.random.default_rng(0)
     return [
-        (2, GAMMA, cells[i:i + chunk]) for i in range(0, len(cells), chunk)
+        (nodes, edges, rng.random((rows, len(edges))) < 0.8)
+        for _ in range(blocks)
     ]
 
 
@@ -161,7 +166,9 @@ class TestKnobs:
     def test_bad_quarantine_policy_raises(self):
         with ParallelExecutor(1, graph=running_example()) as ex:
             with pytest.raises(ParameterError, match="on_quarantine"):
-                ex.map("nucleus-cell", [(2, GAMMA, [])], on_quarantine="ignore")
+                ex.map("reliability-block",
+                       block_payloads(running_example(), blocks=1),
+                       on_quarantine="ignore")
 
 
 # ----------------------------------------------------------------------
@@ -229,19 +236,19 @@ class TestCrashRecovery:
         return the inline reference result, and the pool must stay
         usable for the next map."""
         graph = gnp_graph(12, 0.35, seed=3)
-        payloads = cell_payloads(graph)
+        payloads = block_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("nucleus-cell", payloads)
+            reference = inline.map("reliability-block", payloads)
         with ParallelExecutor(2, graph=graph) as ex:
             pids = ex.pool_pids
             assert len(pids) == 2
             os.kill(pids[0], signal.SIGKILL)
             time.sleep(0.2)  # let the death reach the pipes
-            assert ex.map("nucleus-cell", payloads) == reference
+            assert ex.map("reliability-block", payloads) == reference
             assert len(ex.pool_pids) == 2
             assert pids[0] not in ex.pool_pids
             # Pool healthy: a second map on the same pool still works.
-            assert ex.map("nucleus-cell", payloads[:3]) == reference[:3]
+            assert ex.map("reliability-block", payloads[:3]) == reference[:3]
             assert ex.quarantined == []
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -299,14 +306,15 @@ class TestCrashRecovery:
 class TestTimeouts:
     def test_hung_task_is_killed_and_retried(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = cell_payloads(graph)
+        payloads = block_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("nucleus-cell", payloads)
-        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=1)
+            reference = inline.map("reliability-block", payloads)
+        plan = FaultPlan().hang_task("reliability-block", payload_index=0,
+                                     times=1)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("nucleus-cell", payloads, progress=recorder)
+            results = ex.map("reliability-block", payloads, progress=recorder)
         assert results == reference
         assert "worker-died" in recorder.phases()
         assert "task-retried" in recorder.phases()
@@ -324,15 +332,15 @@ class TestCpuStall:
         worker is reclaimed even though no wall-clock task_timeout is
         set, and the replay keeps the output byte-identical."""
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = cell_payloads(graph)
+        payloads = block_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("nucleus-cell", payloads)
-        plan = FaultPlan().stall_task_cpu("nucleus-cell", payload_index=0,
-                                          times=1)
+            reference = inline.map("reliability-block", payloads)
+        plan = FaultPlan().stall_task_cpu("reliability-block",
+                                          payload_index=0, times=1)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_cpu_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("nucleus-cell", payloads, progress=recorder)
+            results = ex.map("reliability-block", payloads, progress=recorder)
         assert results == reference
         assert "worker-died" in recorder.phases()
         retried = [e for e in recorder.events if e.phase == "task-retried"]
@@ -344,15 +352,15 @@ class TestCpuStall:
         *not* killed: advancing CPU time is proof of life, the exact
         case a pure wall-clock timeout misclassifies."""
         graph = gnp_graph(9, 0.35, seed=5)
-        payloads = cell_payloads(graph, chunk=4)
+        payloads = block_payloads(graph, blocks=4, rows=64)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("nucleus-cell", payloads)
-        plan = FaultPlan().spin_task("nucleus-cell", seconds=4 * TIMEOUT,
-                                     payload_index=0)
+            reference = inline.map("reliability-block", payloads)
+        plan = FaultPlan().spin_task("reliability-block",
+                                     seconds=4 * TIMEOUT, payload_index=0)
         recorder = Recorder()
         with ParallelExecutor(2, graph=graph, task_cpu_timeout=TIMEOUT,
                               faults=plan) as ex:
-            results = ex.map("nucleus-cell", payloads, progress=recorder)
+            results = ex.map("reliability-block", payloads, progress=recorder)
             # The spin really consumed CPU and the supervisor saw it.
             assert ex.worker_cpu_seconds() > TIMEOUT
         assert results == reference
@@ -385,51 +393,43 @@ class TestQuarantine:
     def make_executor(self, graph, **kwargs):
         # times=2 exhausts max_task_retries=1 exactly, so follow-up maps
         # on the surviving pool run clean.
-        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=2)
+        plan = FaultPlan().hang_task("reliability-block", payload_index=0,
+                                     times=2)
         return ParallelExecutor(2, graph=graph, task_timeout=TIMEOUT,
                                 max_task_retries=1, faults=plan, **kwargs)
 
     def test_skip_policy_yields_sentinel_and_record(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = cell_payloads(graph)
+        payloads = block_payloads(graph)
         with ParallelExecutor(1, graph=graph) as inline:
-            reference = inline.map("nucleus-cell", payloads)
+            reference = inline.map("reliability-block", payloads)
         recorder = Recorder()
         with self.make_executor(graph) as ex:
             name = ex._shared.handle.name if ex._shared else None
-            results = ex.map("nucleus-cell", payloads, progress=recorder,
-                             on_quarantine="skip")
+            results = ex.map("reliability-block", payloads,
+                             progress=recorder, on_quarantine="skip")
             assert results[0] is QUARANTINED
             assert results[1:] == reference[1:]
             assert len(ex.quarantined) == 1
             record = ex.quarantined[0]
-            assert record.name == "nucleus-cell"
+            assert record.name == "reliability-block"
             assert record.index == 0
             assert record.attempts == 2  # max_task_retries=1 → 2 tries
             assert all("timed out" in r for r in record.reasons)
             assert "task-quarantined" in recorder.phases()
             # The pool survived the poison payload and keeps serving.
-            assert ex.map("nucleus-cell", payloads[1:]) == reference[1:]
+            assert ex.map("reliability-block", payloads[1:]) == reference[1:]
         if name is not None:
             assert not segment_exists(name)
 
     def test_raise_policy_raises_with_records(self):
         graph = gnp_graph(11, 0.35, seed=5)
-        payloads = cell_payloads(graph)
+        payloads = block_payloads(graph)
         with self.make_executor(graph) as ex:
             with pytest.raises(TaskQuarantinedError) as info:
-                ex.map("nucleus-cell", payloads)
+                ex.map("reliability-block", payloads)
             assert info.value.quarantined[0].index == 0
-            assert "nucleus-cell" in str(info.value)
-
-    def test_run_local_quarantine_is_honest_partial(self):
-        graph = gnp_graph(11, 0.35, seed=5)
-        plan = FaultPlan().hang_task("nucleus-cell", payload_index=0, times=10)
-        partial = run_local(graph, GAMMA, workers=2, task_timeout=TIMEOUT,
-                            max_task_retries=1, progress=plan)
-        assert not partial.complete
-        assert partial.degraded
-        assert "quarantined" in partial.reason
+            assert "reliability-block" in str(info.value)
 
     def test_gbu_seed_quarantine_degrades_run_global(self):
         graph = gnp_graph(13, 0.3, seed=1)
@@ -519,10 +519,12 @@ class TestSigintMidMap:
             graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2,
         )
-        # nucleus-init counter events are pumped only while the
-        # nucleus-cell pool map is in flight, so this fires mid-map by
-        # construction.
-        plan = FaultPlan().sigint_on_phase("nucleus-init")
+        # Heartbeats are pumped only while a pool map is in flight, and
+        # the spinning first payload holds the first gbu-seed map open
+        # for many pump intervals, so this fires mid-map on any machine.
+        plan = (FaultPlan()
+                .spin_task("gbu-seed", seconds=1.0, payload_index=0)
+                .sigint_on_phase("parallel-heartbeat"))
         ck = tmp_path / "ck"
         with pytest.raises(ComputationInterrupted) as info:
             run_global(
