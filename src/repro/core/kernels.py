@@ -234,9 +234,10 @@ class WorldClassifier:
 
     Nodes and edges are mapped to integer indices once per candidate.
     Spanning connectivity of *all* patterns is decided in one shot by
-    stacking them into a block-diagonal sparse graph and running scipy's
-    C connected-components over it; the k-truss condition (k >= 3) is
-    then checked for all surviving patterns at once from the candidate's
+    stacking them into one disjoint union and labelling its components
+    with whole-array root hooking and pointer jumping
+    (:meth:`connected_mask`); the k-truss condition (k >= 3) is then
+    checked for all surviving patterns at once from the candidate's
     triangle incidence (:meth:`truss_mask`). Semantically identical to
     :func:`repro.core.global_truss.world_is_connected_ktruss`, orders of
     magnitude faster in the Monte-Carlo oracle's inner loop.
@@ -259,26 +260,18 @@ class WorldClassifier:
         """Boolean mask: which patterns connect all ``n`` nodes.
 
         ``patterns`` is a (P, m) boolean matrix. Patterns are stacked
-        into one disjoint union (pattern t's nodes live at offset t*n)
-        and classified with a single C-level connected-components call.
+        into one disjoint union (pattern t's nodes live at offset t*n),
+        its components are labelled by :func:`_component_labels`, and a
+        pattern is connected when all ``n`` of its nodes share a label.
+        The result is a fresh array the caller may overwrite.
         """
         n_patterns = patterns.shape[0]
-        if self.n == 0 or n_patterns == 0:
+        if self.n == 0:
             return np.zeros(n_patterns, dtype=bool)
-        if self.n == 1:
-            return np.ones(n_patterns, dtype=bool)
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
         t_idx, j_idx = np.nonzero(patterns)
         rows = t_idx * self.n + self.ends_u[j_idx]
         cols = t_idx * self.n + self.ends_v[j_idx]
-        total = n_patterns * self.n
-        graph = coo_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-            shape=(total, total),
-        )
-        _, labels = connected_components(graph, directed=False)
+        labels, _ = _component_labels(rows, cols, n_patterns * self.n)
         blocks = labels.reshape(n_patterns, self.n)
         return (blocks == blocks[:, :1]).all(axis=1)
 
@@ -352,6 +345,47 @@ class WorldClassifier:
             ).reshape(block.shape[0], m)
             out[lo:lo + step] = ((support >= need) | ~block).all(axis=1)
         return out
+
+
+def _component_labels(
+    rows: np.ndarray, cols: np.ndarray, total: int
+) -> tuple[np.ndarray, int]:
+    """Connected components of the graph on ``range(total)`` with edges
+    ``rows[i] -- cols[i]``: ``(labels, rounds)``.
+
+    Root hooking with full pointer jumping (Shiloach--Vishkin style).
+    Every round starts from stars (each node labelled with its tree's
+    root) and reads both end labels of every edge; it stops once they
+    agree on every edge, so two nodes share a label exactly when they
+    are connected. Otherwise each root hooks onto the smallest root
+    adjacent to it (``np.minimum.at`` in both edge directions), and
+    ``labels = labels[labels]`` repeats until the trees are stars again.
+    Labels only ever decrease, so no cycle forms. ``rounds`` counts the
+    passes over the edges, the final agreeing one included.
+
+    Round bound: a tree that nothing hooks onto in one round has only
+    smaller roots around it afterwards, so it hooks in the next. After
+    ``j`` rounds every local-minimum tree of an unfinished component
+    thus holds at least ``F(j + 2)`` nodes (Fibonacci, ``F(1) = F(2) =
+    1``), and a component of ``n`` nodes is done within ``r`` passes
+    for the largest ``r`` with ``F(r + 1) <= n`` -- about ``1.44 log2(n)
+    + 2``, reached by an 8-node tree that takes 5. A path contracts to a
+    path whose local minima are at most half its nodes, so paths take
+    at most ``ceil(log2(n)) + 1`` passes.
+    """
+    labels = np.arange(total)
+    rounds = 0
+    while True:
+        rounds += 1
+        lu, lv = labels[rows], labels[cols]
+        if (lu == lv).all():
+            return labels, rounds
+        np.minimum.at(labels, lu, lv)
+        np.minimum.at(labels, lv, lu)
+        jumped = labels[labels]
+        while (jumped != labels).any():
+            labels = jumped
+            jumped = labels[labels]
 
 
 def classify_worlds_packed(

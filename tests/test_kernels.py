@@ -13,6 +13,9 @@ paths rely on:
   return_counts=True)`` bit for bit — pattern order included — at every
   integer-key width, so the float accumulation order downstream is
   unchanged;
+* ``WorldClassifier.connected_mask`` equals ``world_is_connected_ktruss``
+  at k = 2 row for row, and its label loop stays within its round bound
+  on relabelled paths and stacked sparse patterns;
 * ``WorldClassifier.truss_mask`` equals the per-pattern ``truss_ok``
   reference row for row;
 * ``classify_worlds_packed`` equals ``classify_worlds`` for every k,
@@ -26,8 +29,10 @@ the whole module: classifying a spilled sample set must not
 re-materialise the 8x boolean blow-up in RAM.
 """
 
+import math
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +291,178 @@ class TestTrussMask:
             )
 
 
+def _reference_connected(nodes, edges, patterns):
+    return np.array([
+        world_is_connected_ktruss(
+            nodes, [e for e, bit in zip(edges, row) if bit], 2)
+        for row in patterns
+    ], dtype=bool)
+
+
+class TestConnectedMask:
+    """``connected_mask`` against the pure-Python world reference.
+
+    At k = 2 the truss clause of ``world_is_connected_ktruss`` is void,
+    so the reference is exactly "the present edges connect every node".
+    """
+
+    @given(n_nodes=st.integers(0, 9), seed=st.integers(0, 2**31),
+           n_rows=st.integers(0, 60),
+           edge_density=st.sampled_from([0.15, 0.5, 0.9]),
+           row_density=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_row_for_row(
+        self, n_nodes, seed, n_rows, edge_density, row_density
+    ):
+        # Sparse candidates leave isolated nodes; sparse rows make many
+        # disconnected patterns; row_density 0 makes every row edgeless.
+        edges, nodes = _random_candidate(n_nodes, edge_density, seed)
+        classifier = kernels.WorldClassifier(edges, nodes, 2)
+        patterns = _random_presence((n_rows, len(edges)), seed + 1,
+                                    row_density)
+        got = classifier.connected_mask(patterns)
+        assert got.shape == (n_rows,) and got.dtype == bool
+        np.testing.assert_array_equal(
+            got, _reference_connected(nodes, edges, patterns))
+
+    @pytest.mark.parametrize("n_nodes", range(10))
+    def test_every_single_edge_and_edgeless_row(self, n_nodes):
+        edges, nodes = _random_candidate(n_nodes, 1.0, seed=n_nodes)
+        classifier = kernels.WorldClassifier(edges, nodes, 2)
+        patterns = np.concatenate([
+            np.zeros((1, len(edges)), dtype=bool),
+            np.eye(len(edges), dtype=bool),
+            np.ones((1, len(edges)), dtype=bool),
+        ])
+        np.testing.assert_array_equal(
+            classifier.connected_mask(patterns),
+            _reference_connected(nodes, edges, patterns))
+
+    @pytest.mark.parametrize("n_nodes", [0, 1, 2, 7])
+    def test_zero_rows(self, n_nodes):
+        edges, nodes = _random_candidate(n_nodes, 1.0, seed=0)
+        classifier = kernels.WorldClassifier(edges, nodes, 2)
+        got = classifier.connected_mask(np.zeros((0, len(edges)), dtype=bool))
+        assert got.shape == (0,) and got.dtype == bool
+
+    def test_returns_a_fresh_array(self):
+        # classify_worlds_packed overwrites the mask in place.
+        edges, nodes = _random_candidate(5, 0.8, seed=3)
+        classifier = kernels.WorldClassifier(edges, nodes, 2)
+        patterns = _random_presence((20, len(edges)), seed=4, density=0.7)
+        got = classifier.connected_mask(patterns)
+        got[:] = ~got
+        np.testing.assert_array_equal(
+            classifier.connected_mask(patterns), ~got
+        )
+
+
+def _reference_partition(rows, cols, total):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(total))
+    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
+    return {frozenset(c) for c in nx.connected_components(graph)}
+
+
+def _label_partition(labels):
+    blocks = {}
+    for node, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, set()).add(node)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def _fibonacci_rounds(n):
+    """The general bound: the largest r with F(r + 1) <= n."""
+    rounds, cur, nxt = 1, 1, 2
+    while nxt <= n:
+        rounds, cur, nxt = rounds + 1, nxt, cur + nxt
+    return rounds
+
+
+def _log2_rounds(n):
+    """The path bound: ceil(log2(n)) + 1."""
+    return math.ceil(math.log2(max(n, 1))) + 1
+
+
+class TestComponentLabelRounds:
+    """Worst cases for the root-hooking label loop, with its round bounds.
+
+    ``n`` is the size of the largest component; every round reads the
+    edge labels once, the final agreeing read included.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 33, 100, 513, 1000, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomly_relabelled_path(self, n, seed):
+        gen = np.random.default_rng([n, seed])
+        order = gen.permutation(n)
+        rows, cols = order[:-1], order[1:]
+        flip = gen.random(n - 1) < 0.5
+        rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
+        labels, rounds = kernels._component_labels(rows, cols, n)
+        assert (labels == labels[0]).all()
+        assert rounds <= _log2_rounds(n), (n, rounds)
+
+    def test_sorted_paths_and_edgeless_graph(self):
+        for n in (1, 2, 64, 4096):
+            up = np.arange(n - 1)
+            for rows, cols in ((up, up + 1), (up + 1, up)):
+                labels, rounds = kernels._component_labels(rows, cols, n)
+                assert (labels == labels[0]).all()
+                assert rounds <= _log2_rounds(n)
+        empty = np.zeros(0, dtype=np.int64)
+        labels, rounds = kernels._component_labels(empty, empty, 5)
+        np.testing.assert_array_equal(labels, np.arange(5))
+        assert rounds == 1
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 6, 9])
+    @pytest.mark.parametrize("row_density", [0.0, 0.1, 0.3, 0.6])
+    def test_stacked_single_edge_and_disconnected_patterns(
+        self, n_nodes, row_density
+    ):
+        # The disjoint union connected_mask builds: 400 sparse patterns
+        # plus every single-edge pattern, over a complete candidate. At
+        # these sizes the general bound equals the path bound.
+        assert _fibonacci_rounds(n_nodes) == _log2_rounds(n_nodes)
+        edges, _ = _random_candidate(n_nodes, 1.0, seed=n_nodes)
+        ends = np.array(edges, dtype=np.int64)
+        patterns = np.concatenate([
+            _random_presence((400, len(edges)), n_nodes, row_density),
+            np.eye(len(edges), dtype=bool),
+        ])
+        t_idx, j_idx = np.nonzero(patterns)
+        rows = t_idx * n_nodes + ends[j_idx, 0]
+        cols = t_idx * n_nodes + ends[j_idx, 1]
+        total = patterns.shape[0] * n_nodes
+        labels, rounds = kernels._component_labels(rows, cols, total)
+        assert _label_partition(labels) == _reference_partition(
+            rows, cols, total)
+        assert rounds <= _log2_rounds(n_nodes), (n_nodes, rounds)
+
+    def test_tree_reaching_the_general_bound(self):
+        # Roots 0 < 1 < 2 < 3, 4 < 5, 6, 7: nodes 3 and 4 are stalled
+        # local minima in round one, so 8 nodes need 5 passes, one more
+        # than a path of 8 nodes can.
+        edges = np.array([(0, 5), (2, 6), (1, 7), (3, 5), (3, 6), (4, 6),
+                          (4, 7)])
+        labels, rounds = kernels._component_labels(edges[:, 0], edges[:, 1], 8)
+        assert (labels == 0).all()
+        assert rounds == _fibonacci_rounds(8) == _log2_rounds(8) + 1
+
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**31),
+           density=st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graph_partition(self, n, seed, density):
+        gen = np.random.default_rng(seed)
+        rows, cols = np.nonzero(np.triu(gen.random((n, n)) < density, 1))
+        perm = gen.permutation(n)
+        rows, cols = perm[rows], perm[cols]
+        labels, rounds = kernels._component_labels(rows, cols, n)
+        assert _label_partition(labels) == _reference_partition(
+            rows, cols, n)
+        assert rounds <= _fibonacci_rounds(n), (n, rounds)
+
+
 def _classify_case(n_nodes, density, seed, n_samples):
     graph = dyadic_random_graph(n_nodes, density, seed)
     edges = [tuple(sorted(e)) for e in graph.edges()]
@@ -461,9 +638,10 @@ class TestSpilledPeakAllocation:
         oracle = GlobalTrussOracle(samples)
         edges = [tuple(sorted(e)) for e in graph.edges()]
         nodes = list(graph.nodes())
-        # Warm up the lazy scipy.sparse import inside the classifier
-        # (a one-time ~10 MB importlib transient that would swamp the
-        # measurement) and then drop the memoised estimates. The
+        # Warm up the classifier so a one-time import or first-call
+        # transient cannot swamp the measurement (the numpy kernel has
+        # none today: the warm-up moves the peak by under 1 KiB), then
+        # drop the memoised estimates. The
         # warm-up nodes are only the covered endpoints so the world
         # classifier genuinely runs instead of fast-rejecting.
         warm_nodes = sorted({n for e in edges[:3] for n in e})
@@ -485,3 +663,42 @@ class TestSpilledPeakAllocation:
             f"classification peak {peak} bytes vs boolean matrix "
             f"{bool_matrix_bytes} bytes - the 8x unpack is back"
         )
+
+
+class TestNoScipyImport:
+    """The connectivity kernel is pure numpy: no run may import scipy.
+
+    Importing ``scipy.sparse.csgraph`` on top of numpy costs a fresh
+    interpreter ~0.3 s and ~33 MiB of peak RSS (2-vCPU VM), so a stray
+    import must fail here rather than quietly bring that back.
+    """
+
+    SCRIPT = (
+        "import sys\n"
+        "from repro.graphs.generators import gnp_graph\n"
+        "from repro.runtime import run_global\n"
+        "graph = gnp_graph(10, 0.4, seed=3)\n"
+        "gtd = run_global(graph, 0.3, method='gtd', seed=1, n_samples=60)\n"
+        "gbu = run_global(graph, 0.3, method='gbu', seed=1, n_samples=60,\n"
+        "                 batch_size=20, checkpoint_dir=sys.argv[1],\n"
+        "                 workers=2)\n"
+        "assert gtd.complete and gbu.complete\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+
+    def test_global_runs_leave_scipy_unimported(self, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "ck")],
+            capture_output=True, text=True, env=env, cwd=repo_root,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", proc.stdout
