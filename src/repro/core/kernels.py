@@ -90,19 +90,46 @@ def masked_column_counts(
     return popcount(packed & row_mask[:, None]).sum(axis=0, dtype=np.int64)
 
 
+#: ``_LANE_TABLE[b]`` spreads the bits of byte ``b`` over the bytes of
+#: one little-endian ``uint64``: lane ``j`` holds bit ``7 - j``, which
+#: is sample ``8 * row + j`` under the packing contract.
+_LANE_TABLE = np.array(
+    [sum(((b >> (7 - j)) & 1) << (8 * j) for j in range(8))
+     for b in range(256)],
+    dtype="<u8",
+)
+
+#: Table lookups summed per ``uint64`` before the lanes are added to
+#: the output; each lane then holds at most 255, so none carries.
+_LANE_COLUMNS = 255
+
+#: Packed bytes per :func:`row_sums` block; bounds the ``uint64``
+#: lookups (and their index cast) whatever ``N * m``.
+_ROW_SUM_BLOCK_CELLS = 1 << 14
+
+
 def row_sums(packed: np.ndarray, n_samples: int) -> np.ndarray:
     """Per-sample (row) set-bit counts; equals ``unpacked.sum(axis=1)``.
 
-    Eight shifted strided passes over the packed bytes — the peak
-    temporary is one ``(B, m)`` byte array, 8x smaller than the unpacked
-    boolean matrix the naive ``unpackbits(...).sum(axis=1)`` builds.
+    A byte-lane (SWAR) sum: each packed byte is looked up in
+    ``_LANE_TABLE``, and summing the lookups of up to ``_LANE_COLUMNS``
+    columns in ``uint64`` counts the eight samples of a byte row in
+    eight parallel one-byte lanes, none of which can carry into the
+    next. Viewed as bytes, the sum is the counts in sample order. Rows
+    are taken in blocks of ``_ROW_SUM_BLOCK_CELLS`` packed bytes, so the
+    temporaries stay a fixed size, far below the unpacked boolean
+    matrix the naive ``unpackbits(...).sum(axis=1)`` builds.
     """
     n_bytes, m = packed.shape
     out = np.zeros(n_bytes * 8, dtype=np.int64)
-    for bit in range(8):
-        out[bit::8] = (
-            (packed >> np.uint8(7 - bit)) & np.uint8(1)
-        ).sum(axis=1, dtype=np.int64)
+    step = max(1, _ROW_SUM_BLOCK_CELLS // max(1, min(m, _LANE_COLUMNS)))
+    for lo in range(0, n_bytes, step):
+        block = packed[lo:lo + step]
+        lanes = out[8 * lo:8 * (lo + step)]
+        for c in range(0, m, _LANE_COLUMNS):
+            sums = np.add.reduce(
+                _LANE_TABLE[block[:, c:c + _LANE_COLUMNS]], axis=1)
+            lanes += sums.astype("<u8", copy=False).view(np.uint8)
     return out[:n_samples]
 
 

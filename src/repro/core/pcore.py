@@ -94,9 +94,11 @@ def eta_core_decomposition(
         return {}
 
     top = max(levels.values())
-    buckets: list[set[Node]] = [set() for _ in range(top + 1)]
+    # Insertion-ordered dict buckets, not sets: the pop order, and with
+    # it the order of the result, does not depend on PYTHONHASHSEED.
+    buckets: list[dict[Node, None]] = [{} for _ in range(top + 1)]
     for u, lvl in levels.items():
-        buckets[lvl].add(u)
+        buckets[lvl][u] = None
 
     alive = dict(levels)
     core: dict[Node, int] = {}
@@ -106,7 +108,7 @@ def eta_core_decomposition(
     for _ in range(len(levels)):
         while not buckets[cursor]:
             cursor += 1
-        u = buckets[cursor].pop()
+        u, _ = buckets[cursor].popitem()
         del alive[u]
         k = max(k, cursor)
         core[u] = k
@@ -117,9 +119,9 @@ def eta_core_decomposition(
             new_level = degrees[v].eta_degree(eta)
             old_level = alive[v]
             if new_level < old_level:
-                buckets[old_level].discard(v)
+                del buckets[old_level][v]
                 alive[v] = new_level
-                buckets[new_level].add(v)
+                buckets[new_level][v] = None
                 if new_level < cursor:
                     cursor = new_level
         remaining.remove_node(u)

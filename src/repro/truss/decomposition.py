@@ -25,17 +25,20 @@ Edge = tuple[Node, Node]
 class _BucketQueue:
     """Monotone bucket queue over (edge, level) pairs.
 
-    Levels only decrease by 1 per triangle removal, so a plain
-    list-of-sets with a moving cursor gives O(1) amortised operations —
-    the bin-sort structure of [Wang & Cheng 2012].
+    Levels only decrease by 1 per triangle removal, so a plain list of
+    buckets with a moving cursor gives O(1) amortised operations — the
+    bin-sort structure of [Wang & Cheng 2012]. Buckets are
+    insertion-ordered dicts rather than sets, so the pop order does not
+    depend on ``PYTHONHASHSEED``.
     """
 
     def __init__(self, levels: dict[Edge, int]):
         self._level = dict(levels)
         max_level = max(levels.values(), default=0)
-        self._buckets: list[set[Edge]] = [set() for _ in range(max_level + 1)]
+        self._buckets: list[dict[Edge, None]] = [
+            {} for _ in range(max_level + 1)]
         for e, lvl in levels.items():
-            self._buckets[lvl].add(e)
+            self._buckets[lvl][e] = None
         self._cursor = 0
 
     def __len__(self) -> int:
@@ -45,7 +48,7 @@ class _BucketQueue:
         """Remove and return an (edge, level) pair of minimum level."""
         while not self._buckets[self._cursor]:
             self._cursor += 1
-        e = self._buckets[self._cursor].pop()
+        e, _ = self._buckets[self._cursor].popitem()
         del self._level[e]
         return e, self._cursor
 
@@ -54,10 +57,10 @@ class _BucketQueue:
         lvl = self._level.get(e)
         if lvl is None or lvl <= floor:
             return
-        self._buckets[lvl].discard(e)
+        del self._buckets[lvl][e]
         lvl -= 1
         self._level[e] = lvl
-        self._buckets[lvl].add(e)
+        self._buckets[lvl][e] = None
         if lvl < self._cursor:
             self._cursor = lvl
 
@@ -81,7 +84,11 @@ def truss_decomposition(graph: ProbabilisticGraph) -> dict[Edge, int]:
         k = max(k, sup + 2)
         trussness[e] = k
         u, v = e
-        for w in list(work.common_neighbors(u, v)):
+        # The apexes in the adjacency order of the lower-degree end, not
+        # the hash order of common_neighbors: the decrements refill the
+        # buckets, which pop in insertion order.
+        a, b = (u, v) if work.degree(u) <= work.degree(v) else (v, u)
+        for w in [w for w in work.neighbors(a) if work.has_edge(b, w)]:
             # Triangle (u, v, w) disappears with e; its other two edges
             # lose one unit of support, but never below the current peel
             # level (their trussness is already >= k).

@@ -25,9 +25,11 @@ def core_decomposition(graph: ProbabilisticGraph) -> dict[Node, int]:
     if not degree:
         return {}
     max_degree = max(degree.values())
-    buckets: list[set[Node]] = [set() for _ in range(max_degree + 1)]
+    # Insertion-ordered dict buckets, not sets: the pop order, and with
+    # it the order of the result, does not depend on PYTHONHASHSEED.
+    buckets: list[dict[Node, None]] = [{} for _ in range(max_degree + 1)]
     for u, d in degree.items():
-        buckets[d].add(u)
+        buckets[d][u] = None
 
     core: dict[Node, int] = {}
     removed: set[Node] = set()
@@ -36,7 +38,7 @@ def core_decomposition(graph: ProbabilisticGraph) -> dict[Node, int]:
     for _ in range(len(degree)):
         while not buckets[cursor]:
             cursor += 1
-        u = buckets[cursor].pop()
+        u, _ = buckets[cursor].popitem()
         k = max(k, cursor)
         core[u] = k
         removed.add(u)
@@ -45,9 +47,9 @@ def core_decomposition(graph: ProbabilisticGraph) -> dict[Node, int]:
                 continue
             d = degree[v]
             if d > cursor:
-                buckets[d].discard(v)
+                del buckets[d][v]
                 degree[v] = d - 1
-                buckets[d - 1].add(v)
+                buckets[d - 1][v] = None
                 if d - 1 < cursor:
                     cursor = d - 1
     return core

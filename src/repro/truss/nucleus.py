@@ -112,16 +112,18 @@ def structural_nucleus_decomposition(
     """
     validate_rs(r, s)
     cliques = enumerate_r_cliques(graph, r)
-    apexes = {R: apex_candidates(graph, R) for R in cliques}
+    # Canonical apex order and insertion-ordered dict buckets: the peel
+    # order does not depend on PYTHONHASHSEED.
+    apexes = {R: clique_key(apex_candidates(graph, R)) for R in cliques}
     supports = {R: len(apexes[R]) for R in cliques}
 
     # The same monotone bucket-queue organisation as the truss peel:
-    # levels only ever decrease, so a list-of-sets with a moving cursor
-    # gives O(1) amortised operations.
+    # levels only ever decrease, so a list of buckets with a moving
+    # cursor gives O(1) amortised operations.
     top = max(supports.values(), default=0)
-    buckets: list[set[Clique]] = [set() for _ in range(top + 1)]
+    buckets: list[dict[Clique, None]] = [{} for _ in range(top + 1)]
     for R, sup in supports.items():
-        buckets[sup].add(R)
+        buckets[sup][R] = None
     alive = dict(supports)
 
     nucleus: dict[Clique, int] = {}
@@ -130,7 +132,7 @@ def structural_nucleus_decomposition(
     while alive:
         while not buckets[cursor]:
             cursor += 1
-        R = buckets[cursor].pop()
+        R, _ = buckets[cursor].popitem()
         sup = alive.pop(R)
         k = max(k, sup + 2)
         nucleus[R] = k
@@ -144,9 +146,9 @@ def structural_nucleus_decomposition(
                     lvl = alive[o]
                     if lvl <= floor:
                         continue
-                    buckets[lvl].discard(o)
+                    del buckets[lvl][o]
                     alive[o] = lvl - 1
-                    buckets[lvl - 1].add(o)
+                    buckets[lvl - 1][o] = None
                     if lvl - 1 < cursor:
                         cursor = lvl - 1
     return nucleus

@@ -8,7 +8,8 @@ paths rely on:
 
 * integer kernels are *exactly* equal to the boolean reference,
   including ragged tails (``n_samples % 8 != 0``) whose padding bits
-  must never leak into a count;
+  must never leak into a count, and ``row_sums`` across its 255-column
+  byte-lane chunks (saturated lanes included) and its row blocks;
 * ``dedup_candidate_patterns`` reproduces ``np.unique(...,
   return_counts=True)`` bit for bit — pattern order included — at every
   integer-key width, so the float accumulation order downstream is
@@ -26,7 +27,8 @@ paths rely on:
 
 The peak-allocation regression test at the bottom guards the point of
 the whole module: classifying a spilled sample set must not
-re-materialise the 8x boolean blow-up in RAM.
+re-materialise the 8x boolean blow-up in RAM. ``row_sums`` has its own:
+its ``uint64`` lane lookups must stay blocked below that size.
 """
 
 import math
@@ -104,6 +106,56 @@ class TestBitKernels:
         got = kernels.row_sums(_pack(presence), shape[0])
         assert got.shape == (shape[0],)
         np.testing.assert_array_equal(got, presence.sum(axis=1))
+
+    @pytest.mark.parametrize("m", [255, 256, 511, 700])
+    @pytest.mark.parametrize("n", [0, 1, 13, 64, 203])
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_row_sums_across_lane_chunks(self, m, n, density):
+        # Each byte lane sums at most 255 columns before it is added to
+        # the output, so widths at and past that chunk (and density 1.0,
+        # where every lane saturates at 255) would expose a carry
+        # between lanes.
+        presence = _random_presence((n, m), n + m, density)
+        got = kernels.row_sums(_pack(presence), n)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        np.testing.assert_array_equal(got, presence.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [0, 5, 64])
+    def test_row_sums_without_columns(self, n):
+        packed = np.zeros((-(-n // 8), 0), dtype=np.uint8)
+        got = kernels.row_sums(packed, n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.zeros(n, dtype=np.int64))
+
+    @pytest.mark.parametrize("m", [3, 255, 300])
+    def test_row_sums_straddling_the_block(self, m, monkeypatch):
+        # Shrink the block so a few hundred samples cross several block
+        # boundaries; every row must still match the reference.
+        monkeypatch.setattr(kernels, "_ROW_SUM_BLOCK_CELLS", 64)
+        step = max(1, 64 // min(m, kernels._LANE_COLUMNS))
+        for n_bytes in (step - 1, step, step + 1, 3 * step + 1):
+            for n in (8 * n_bytes, 8 * n_bytes - 3):
+                if n <= 0:
+                    continue
+                presence = _random_presence((n, m), n, 0.9)
+                got = kernels.row_sums(_pack(presence), n)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, presence.sum(axis=1))
+
+    def test_row_sums_peak_stays_below_the_boolean_matrix(self):
+        # The lane lookups are eight bytes per packed byte: unblocked,
+        # they alone are as large as the (N, m) boolean matrix.
+        n, m = 80_000, 40
+        packed = _pack(_random_presence((n, m), 7, 0.5))
+        kernels.row_sums(packed[:8], 64)
+        tracemalloc.start()
+        try:
+            kernels.row_sums(packed, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m, (
+            f"row_sums peak {peak} bytes vs boolean matrix {n * m} bytes")
 
     @given(shape=matrix_shapes, seed=st.integers(0, 2**31),
            density=st.sampled_from([0.5, 0.98]))

@@ -161,3 +161,55 @@ class TestMaxTrussness:
         assert max_trussness(paper_graph) == 4
         assert max_trussness(k4) == 4
         assert max_trussness(empty_graph) == 0
+
+
+def structural_peel_orders():
+    """``list(result.items())`` of the four structural bucket-queue
+    peels on a string-node fruitfly subgraph, whose set iteration order
+    changes with ``PYTHONHASHSEED``."""
+    from repro.core.pcore import eta_core_decomposition
+    from repro.datasets.registry import load_dataset
+    from repro.truss.kcore import core_decomposition
+    from repro.truss.nucleus import structural_nucleus_decomposition
+
+    source = load_dataset("fruitfly", seed=1, scale=0.3)
+    graph = ProbabilisticGraph(
+        (f"n{u}", f"n{v}", p)
+        for u, v, p in source.edges_with_probabilities()
+    )
+    return {
+        "truss": list(truss_decomposition(graph).items()),
+        "core": list(core_decomposition(graph).items()),
+        "eta-core": list(eta_core_decomposition(graph, 0.5).items()),
+        "nucleus": list(structural_nucleus_decomposition(graph).items()),
+    }
+
+
+class TestPeelOrderAcrossHashSeeds:
+    def test_item_order_is_hash_seed_independent(self):
+        # The peels pop from insertion-ordered buckets and visit
+        # neighbours in adjacency (or canonical apex) order, so each
+        # result lists the same items in the same order in every
+        # process, not only the same values.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        script = (
+            "from tests.test_truss_decomposition import "
+            "structural_peel_orders\n"
+            "print(structural_peel_orders())\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(repo_root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env=env, cwd=repo_root, timeout=120,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
