@@ -19,6 +19,11 @@ are exactly equal (integer counts) or bit-identical (float estimates),
 so the packed path is a drop-in replacement everywhere, including under
 the parallel row-block split.
 
+The classifier's triangle and component machinery also serves exact
+GTD: :func:`deletion_clusters` prunes and splits every single-edge
+deletion of a batch of failing states at once, with the per-deletion
+``_prune_to_structural_ktruss`` as its reference.
+
 Bit layout contract (from ``np.packbits(presence, axis=0)``): sample
 ``i`` of column ``j`` lives in byte ``packed[i >> 3, j]`` at bit
 ``7 - (i & 7)`` (MSB first); tail padding bits beyond ``N`` are zero.
@@ -27,6 +32,7 @@ Bit layout contract (from ``np.packbits(presence, axis=0)``): sample
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "unpack_matrix",
     "dedup_candidate_patterns",
     "classify_worlds_packed",
+    "deletion_clusters",
     "WorldClassifier",
 ]
 
@@ -106,6 +113,12 @@ _LANE_COLUMNS = 255
 #: Packed bytes per :func:`row_sums` block; bounds the ``uint64``
 #: lookups (and their index cast) whatever ``N * m``.
 _ROW_SUM_BLOCK_CELLS = 1 << 14
+
+#: Deletion rows x ``max(edges, triangles)`` per
+#: :func:`deletion_clusters` block. A cell costs up to ~100 bytes of
+#: transients (triangle slot triples, the labelling arrays and their
+#: Python lists), so a block stays near 0.2 MiB.
+_DELETION_BLOCK_CELLS = 1 << 11
 
 
 def row_sums(packed: np.ndarray, n_samples: int) -> np.ndarray:
@@ -372,6 +385,133 @@ class WorldClassifier:
             ).reshape(block.shape[0], m)
             out[lo:lo + step] = ((support >= need) | ~block).all(axis=1)
         return out
+
+
+def deletion_clusters(
+    candidates: Sequence[tuple[Sequence[Edge], Sequence[Node], Sequence[int]]],
+    k: int,
+) -> list[list[list[Edge]]]:
+    """The successors of every single-edge deletion of each candidate.
+
+    Algorithm 4's expansion of failing states, batched. A candidate is
+    ``(edges, nodes, deleted)``: its edges are the columns, and its
+    deletion row ``i`` is the candidate minus column ``deleted[i]``.
+    Every row is pruned to its maximal k-truss (supports counted for
+    all rows with one ``bincount`` over (row, edge) slots, as in
+    :meth:`WorldClassifier.truss_mask`; every edge below ``k - 2``
+    goes, until no row changes) and split into connected components by
+    labelling all rows stacked as one disjoint union
+    (:func:`_component_labels`). The maximal k-truss of an edge set is
+    unique, so dropping a round's weak edges all at once reaches the
+    fixpoint of a one-edge-at-a-time peel.
+
+    Returns, per candidate, its clusters row by row and, within a row,
+    ordered by first column; each cluster lists its edges in column
+    order. A row that prunes to nothing, or to the edge set of an
+    earlier row of the same candidate, adds nothing: its clusters would
+    all be repeats. The rows of all candidates share each pass, cut
+    into blocks of ``_DELETION_BLOCK_CELLS`` cells, where a row costs
+    ``max(edges, triangles)`` of its candidate; so no transient grows
+    with a candidate's deletion count times its triangle count.
+    """
+    need = k - 2
+    out: list[list[list[Edge]]] = [[] for _ in candidates]
+    block: list[_DeletionRows] = []
+    cells = 0
+    for clusters, (edges, nodes, deleted) in zip(out, candidates):
+        classifier = WorldClassifier(edges, nodes, k)
+        tri = (classifier._triangle_columns() if need > 0
+               else np.zeros((0, 3), dtype=np.int64))
+        width = max(1, len(edges), tri.shape[0])
+        seen: set[bytes] = set()
+        step = max(1, _DELETION_BLOCK_CELLS // width)
+        for lo in range(0, len(deleted), step):
+            cut = np.asarray(deleted[lo:lo + step], dtype=np.int64)
+            if block and cells + cut.size * width > _DELETION_BLOCK_CELLS:
+                _expand_block(block, need)
+                block, cells = [], 0
+            block.append(_DeletionRows(
+                clusters, edges, classifier, tri, cut, seen))
+            cells += cut.size * width
+    if block:
+        _expand_block(block, need)
+    return out
+
+
+class _DeletionRows(NamedTuple):
+    """Consecutive deletion rows of one candidate, within one block."""
+
+    clusters: list  # the candidate's output list
+    edges: Sequence[Edge]
+    classifier: WorldClassifier
+    tri: np.ndarray
+    deleted: np.ndarray  # the deleted column of each row
+    seen: set  # pruned row keys of the candidate so far
+
+
+def _expand_block(block: list[_DeletionRows], need: int) -> None:
+    """Prune, deduplicate and split one block of deletion rows.
+
+    The rows of all parts are laid out flat, one slot per (row,
+    column) and one node id per (row, node), and the clusters of every
+    fresh row are appended to its part's ``clusters``.
+    """
+    n_rows = np.array([part.deleted.size for part in block])
+    widths = np.array([len(part.edges) for part in block])
+    sizes = np.array([part.classifier.n for part in block])
+    slot_starts = np.cumsum(n_rows * widths) - n_rows * widths
+    node_starts = np.cumsum(n_rows * sizes) - n_rows * sizes
+    presence = np.ones(int((n_rows * widths).sum()), dtype=bool)
+    slots = []
+    for part, start, m in zip(block, slot_starts, widths):
+        row_starts = start + m * np.arange(part.deleted.size)
+        presence[row_starts + part.deleted] = False
+        slots.append((row_starts[:, None, None] + part.tri).reshape(-1, 3))
+    if need > 0:
+        live = np.concatenate(slots)
+        del slots  # the parts would double the block's footprint
+        # A triangle counts while all three of its slots are present; a
+        # dead one never returns, so each pass drops it for good.
+        while True:
+            live = live[presence[live].all(axis=1)]
+            support = np.bincount(live.ravel(), minlength=presence.size)
+            weak = presence & (support < need)
+            if not weak.any():
+                break
+            presence &= ~weak
+    # Clear every row that repeats an earlier row of its candidate.
+    for part, start, m in zip(block, slot_starts, widths):
+        rows = presence[start:start + part.deleted.size * m]
+        rows = rows.reshape(part.deleted.size, m)
+        keys = np.packbits(rows, axis=1)
+        width = keys.shape[1]
+        flat = keys.tobytes()
+        for i in np.flatnonzero(rows.any(axis=1)).tolist():
+            key = flat[i * width:(i + 1) * width]
+            if key in part.seen:
+                rows[i] = False
+            else:
+                part.seen.add(key)
+    kept = np.flatnonzero(presence)
+    if kept.size == 0:
+        return
+    owner = np.searchsorted(slot_starts, kept, side="right") - 1
+    row, column = np.divmod(kept - slot_starts[owner], widths[owner])
+    base = node_starts[owner] + row * sizes[owner]
+    edge = (np.cumsum(widths) - widths)[owner] + column
+    ends_u = base + np.concatenate([p.classifier.ends_u for p in block])[edge]
+    ends_v = base + np.concatenate([p.classifier.ends_v for p in block])[edge]
+    labels, _ = _component_labels(ends_u, ends_v, int((n_rows * sizes).sum()))
+    # A label names one (row, component), and slots come row-major, so
+    # first-seen order is row order, then column order.
+    groups: dict[int, list[Edge]] = {}
+    for label, p, j in zip(labels[ends_u].tolist(), owner.tolist(),
+                           column.tolist()):
+        cluster = groups.get(label)
+        if cluster is None:
+            cluster = groups[label] = []
+            block[p].clusters.append(cluster)
+        cluster.append(block[p].edges[j])
 
 
 def _component_labels(

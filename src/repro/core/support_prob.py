@@ -378,19 +378,30 @@ class SupportProbability:
         self._pmf = new
 
     def _drop_factor(self, q: float) -> None:
-        """Remove the factor matching ``q`` from the tracked multiset."""
+        """Remove the factor matching ``q`` from the tracked multiset.
+
+        Callers that tracked the folded-in factor (the nucleus engine)
+        pass it bit-identically, so an exact match is looked up first.
+        The last equal copy goes, the one the near-match scan below
+        would pick, so a later recompute folds the remaining factors in
+        the same order. Only without an exact match does the scan for a
+        factor within 1e-9 run.
+        """
         qs = self._qs
-        best_idx = -1
-        best_diff = 1e-9
-        for i, value in enumerate(qs):
-            diff = abs(value - q)
-            if diff <= best_diff:
-                best_idx = i
-                best_diff = diff
-        if best_idx < 0:
-            raise ParameterError(
-                f"no tracked triangle has probability {q!r}"
-            )
+        try:
+            best_idx = len(qs) - 1 - qs[::-1].index(q)
+        except ValueError:
+            best_idx = -1
+            best_diff = 1e-9
+            for i, value in enumerate(qs):
+                diff = abs(value - q)
+                if diff <= best_diff:
+                    best_idx = i
+                    best_diff = diff
+            if best_idx < 0:
+                raise ParameterError(
+                    f"no tracked triangle has probability {q!r}"
+                ) from None
         del qs[best_idx]
 
     def copy(self) -> "SupportProbability":

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.global_truss import GlobalTrussOracle
-from repro.core.kernels import classify_worlds_packed
+from repro.core.kernels import classify_worlds_packed, deletion_clusters
 from repro.core.reliability import count_connected_rows
 from repro.parallel.shared import SharedSamplesHandle, attach_samples
 
@@ -176,46 +176,47 @@ def _gtd_frontier(state: WorkerState, payload):
     list of candidate edge lists, each canonically sorted. For every
     candidate the (k, gamma)-truss test runs against the shared sample
     set; a satisfying candidate yields ``("sat", edges)`` and a failing
-    one ``("exp", successors)`` — its single-edge-deletion expansions
-    after structural k-truss pruning and connected-component splitting,
-    each a canonically sorted edge list in deterministic generation
-    order. A successor already emitted earlier in the shard is left out:
-    the parent's merge would drop it as visited anyway. The result is a
-    pure function of the payload: the parent's merge (shard-index order,
-    then within-shard candidate order) is therefore identical for every
-    shard boundary and worker count.
+    one ``("exp", successors)``.
+
+    The successors of all failing candidates come from one batched pass
+    (:func:`~repro.core.kernels.deletion_clusters`). A candidate's edges
+    become canonically sorted columns, its row ``i`` deletes the
+    ``i``-th edge of ``candidate.edges()``, and every row is pruned to
+    its maximal structural k-truss and split into connected components.
+    Each successor is a canonically sorted edge list, in deletion order
+    and then by first edge: the lists and order that pruning and
+    splitting each deletion on its own gives, since the maximal k-truss
+    of an edge set is unique. A successor already emitted earlier in
+    the shard is left out: the parent's merge would drop it as visited
+    anyway. The result is a pure function of the payload: the parent's
+    merge (shard-index order, then within-shard candidate order) is
+    therefore identical for every shard boundary and worker count.
     """
-    from repro.core.global_decomp import _prune_to_structural_ktruss
-    from repro.graphs.components import edge_connected_components
     from repro.runtime.progress import ProgressEvent
 
     comp_edges, shard, k, gamma = payload
     component = state.component(tuple(map(tuple, comp_edges)))
-    emitted: set[frozenset] = set()
     out = []
+    failing, pending = [], []
     for index, cand_edges in enumerate(shard):
         candidate = component.edge_subgraph([tuple(e) for e in cand_edges])
         state.hook(ProgressEvent("gtd-state", step=index, detail={"k": k}))
         if state.oracle.satisfies(candidate, k, gamma):
             out.append(("sat", [tuple(e) for e in cand_edges]))
             continue
-        key = {edge_key(u, v) for u, v in candidate.edges()}
-        successors = []
-        for e in list(candidate.edges()):
-            remaining = set(key)
-            remaining.discard(edge_key(*e))
-            pruned = _prune_to_structural_ktruss(candidate, remaining, k)
-            clusters = [
-                sorted(cluster, key=_edge_sort_key)
-                for cluster in edge_connected_components(candidate, pruned)
-            ]
-            clusters.sort(key=lambda cluster: _edge_sort_key(cluster[0]))
-            for cluster in clusters:
-                cluster_key = frozenset(cluster)
-                if cluster_key not in emitted:
-                    emitted.add(cluster_key)
-                    successors.append(cluster)
-        out.append(("exp", successors))
+        columns = sorted(candidate.edges(), key=_edge_sort_key)
+        column_of = {e: j for j, e in enumerate(columns)}
+        failing.append((columns, list(candidate.nodes()),
+                        [column_of[e] for e in candidate.edges()]))
+        pending.append([])
+        out.append(("exp", pending[-1]))
+    emitted: set[frozenset] = set()
+    for successors, clusters in zip(pending, deletion_clusters(failing, k)):
+        for cluster in clusters:
+            cluster_key = frozenset(cluster)
+            if cluster_key not in emitted:
+                emitted.add(cluster_key)
+                successors.append(cluster)
     return out
 
 

@@ -162,6 +162,50 @@ class TestSupportProbabilityObject:
             del remaining[idx]
         assert np.allclose(sp.pmf, support_pmf(remaining), atol=1e-10)
 
+    @staticmethod
+    def _scan_drop(qs, q):
+        """The near-match scan alone: the last factor closest to ``q``."""
+        best_idx, best_diff = -1, 1e-9
+        for i, value in enumerate(qs):
+            if abs(value - q) <= best_diff:
+                best_idx, best_diff = i, abs(value - q)
+        if best_idx < 0:
+            raise ParameterError(f"no tracked triangle has probability {q!r}")
+        del qs[best_idx]
+
+    def test_drop_factor_matches_the_scan(self):
+        # Repeated and near-equal factors: the exact lookup must leave
+        # the same list, in the same order, as the scan on its own.
+        rng = np.random.default_rng(3)
+        pool = [0.25, 0.5, 0.5 + 1e-12, 0.5 - 1e-12, 0.75, 0.1]
+        for _ in range(200):
+            qs = [float(x) for x in rng.choice(pool, size=8)]
+            q = float(rng.choice(pool))
+            sp = SupportProbability(qs)
+            want = list(qs)
+            try:
+                self._scan_drop(want, q)
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    sp._drop_factor(q)
+                continue
+            sp._drop_factor(q)
+            assert sp._qs == want
+
+    def test_drop_factor_removes_the_last_equal_copy(self):
+        sp = SupportProbability([0.5, 0.25, 0.5, 0.75])
+        sp._drop_factor(0.5)
+        assert sp._qs == [0.5, 0.25, 0.75]
+
+    def test_drop_factor_falls_back_to_a_near_match(self):
+        # Callers that recompute q (dynamic updates) may be off by
+        # float dust; the 1e-9 scan still finds their factor.
+        sp = SupportProbability([0.3, 0.7])
+        sp.remove_triangle(0.3 + 1e-12)
+        assert sp._qs == [0.7]
+        with pytest.raises(ParameterError):
+            sp.remove_triangle(0.71)
+
     def test_from_pmf_validates(self):
         with pytest.raises(ParameterError):
             SupportProbability.from_pmf([0.5, 0.2])
