@@ -1,9 +1,10 @@
 """Multi-core execution layer (``--workers N``).
 
 Fans the compute-bound stages — GBU seed evaluation, GTD component
-search, oversized oracle evaluations, reliability sample batches, and
-the initial support-PMF DPs — across worker processes while keeping
-results bit-identical to the ``workers=1`` inline path. The world
+search, oversized oracle evaluations, and reliability sample batches —
+across worker processes while keeping results bit-identical to the
+``workers=1`` inline path. The peel decompositions stay serial: their
+initial support PMFs are one batched DP, cheaper than a pool start. The world
 sample set is published once into :mod:`multiprocessing.shared_memory`;
 workers project candidates against the same physical pages with zero
 copying.
@@ -17,8 +18,10 @@ that keeps killing workers is quarantined with an explicit
 Entry points: :class:`ParallelExecutor` (the pool front end),
 :class:`SupervisedPool`/:data:`QUARANTINED` (the supervision layer),
 :class:`SharedWorldSamples`/:func:`attach_samples` (the shared segment),
-and :func:`resolve_workers` (CLI value normalisation). The decomposition
-APIs accept ``workers=``/``executor=`` and wire these together; see
+and :func:`resolve_workers` (CLI value normalisation). The harness
+runners ``run_global`` and ``run_reliability`` take ``workers=`` and
+own the executor's lifetime; ``global_truss_decomposition`` also
+accepts ``workers=``/``executor=`` directly. See
 ``docs/performance.md`` for the determinism contract and
 ``docs/robustness.md`` for the supervision model.
 """

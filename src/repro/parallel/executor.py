@@ -192,18 +192,14 @@ class ParallelExecutor:
     def __init__(self, workers, *, graph, samples=None, oracle=None,
                  task_timeout=None, task_cpu_timeout=None,
                  max_task_retries=None, pump_interval=None,
-                 abort_grace=None, faults=None, parallel_min_cells=None):
+                 abort_grace=None, faults=None):
         self.workers = resolve_workers(workers)
         self.pool_workers = 1
         #: Oracle dispatch threshold (candidate cells) measured at pool
-        #: start; None until then (or forever, in inline mode) — the
-        #: oracle falls back to its fixed constant. Keyword >
-        #: ``REPRO_PARALLEL_MIN_CELLS`` > startup calibration.
+        #: start; None until then (or forever, in inline mode or under
+        #: fault injection) — the oracle falls back to its fixed
+        #: constant.
         self.parallel_min_cells = None
-        self._min_cells_override = _int_knob(
-            parallel_min_cells, "REPRO_PARALLEL_MIN_CELLS", None,
-            name="parallel_min_cells",
-        )
         self.task_timeout = _float_knob(
             task_timeout, "REPRO_TASK_TIMEOUT", None,
             name="task_timeout", allow_none=True,
@@ -290,14 +286,11 @@ class ParallelExecutor:
         self._inline_state = WorkerState(
             self._graph, self._samples, oracle=self._oracle
         )
-        if self.pool_workers > 1:
-            if self._min_cells_override is not None:
-                self.parallel_min_cells = self._min_cells_override
-            elif self._fault_state is None:
-                # Skip under fault injection: the probe tasks would
-                # advance the workers' task counters and fire
-                # count-scoped faults one real task early.
-                self.parallel_min_cells = self._calibrate_dispatch()
+        if self.pool_workers > 1 and self._fault_state is None:
+            # Skip under fault injection: the probe tasks would advance
+            # the workers' task counters and fire count-scoped faults
+            # one real task early.
+            self.parallel_min_cells = self._calibrate_dispatch()
         return self
 
     def _calibrate_dispatch(self) -> int:

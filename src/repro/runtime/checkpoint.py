@@ -20,6 +20,7 @@ checkpointable and raise :class:`CheckpointError` up front.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -74,6 +75,32 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _write_atomic(path: Path, data: bytes, fault: OSError | None = None):
+    """Write ``data`` to ``path`` via temp file + fsync + rename.
+
+    Readers never observe a torn file: any :class:`OSError` along the
+    way — short write, failed fsync, failed rename; ENOSPC, quota,
+    read-only filesystem — unlinks the partial temp file and propagates
+    for the caller to convert. ``fault`` is raised mid-write, after the
+    data went to the temp file, exactly where a full disk fails.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            if fault is not None:
+                raise fault
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        # Unlinking frees space rather than needing it, so this
+        # succeeds even on the full disk that got us here.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 class CheckpointStore:
     """Read/write access to one checkpoint directory."""
 
@@ -87,35 +114,52 @@ class CheckpointStore:
         self.write_fault = None
 
     def _write_atomic(self, path: Path, data: bytes) -> None:
-        """Write ``data`` to ``path`` via temp file + fsync + rename.
+        """Module :func:`_write_atomic`, armed with :attr:`write_fault`.
 
-        Any :class:`OSError` along the way — short write, failed fsync,
-        failed rename; ENOSPC, quota, read-only filesystem — is caught
-        exactly here: the partial temp file is unlinked so the
-        directory never holds a torn write, and the failure surfaces as
-        a :class:`~repro.exceptions.CheckpointWriteError` the harness
-        can downgrade to "continue without checkpointing".
+        A failure surfaces as a
+        :class:`~repro.exceptions.CheckpointWriteError`, which the
+        harness downgrades to "continue without checkpointing".
         """
-        tmp = path.with_name(path.name + ".tmp")
         try:
-            injected = (
-                None if self.write_fault is None else self.write_fault()
-            )
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                if injected is not None:
-                    raise injected
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            _write_atomic(path, data, None if self.write_fault is None
+                          else self.write_fault())
         except OSError as err:
-            if tmp.exists():
-                # Unlinking frees space rather than needing it, so this
-                # succeeds even on the full disk that got us here.
-                tmp.unlink()
             raise CheckpointWriteError(
                 f"checkpoint write to {path} failed: {err}", path=path
             ) from err
+
+    def _save_sealed(self, path: Path, key: str, body: dict) -> None:
+        """Write ``{"crc": CRC-32 of body, key: body}`` atomically."""
+        wrapper = {"crc": zlib.crc32(_canonical_json(body).encode("utf-8")),
+                   key: body}
+        self._write_atomic(
+            path, json.dumps(wrapper, sort_keys=True).encode("utf-8")
+        )
+
+    def _load_sealed(self, path: Path, key: str, what: str) -> dict:
+        """Read and verify a :meth:`_save_sealed` file; returns the body.
+
+        ``what`` names the file in the :class:`CheckpointError` raised
+        for unparsable JSON, a missing body, or a CRC mismatch.
+        """
+        try:
+            wrapper = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise CheckpointError(
+                f"corrupt checkpoint {what} {path}: {err}"
+            ) from err
+        if not isinstance(wrapper, dict) or key not in wrapper:
+            raise CheckpointError(
+                f"corrupt checkpoint {what} {path}: missing {key} body"
+            )
+        body = wrapper[key]
+        crc = zlib.crc32(_canonical_json(body).encode("utf-8"))
+        if crc != wrapper.get("crc"):
+            raise CheckpointError(
+                f"checkpoint {what} {path} failed its integrity check "
+                "(crc mismatch)"
+            )
+        return body
 
     # -- manifest ------------------------------------------------------
     @property
@@ -131,12 +175,7 @@ class CheckpointStore:
         doc = dict(manifest)
         doc["format"] = CHECKPOINT_FORMAT
         doc["version"] = CHECKPOINT_VERSION
-        body = _canonical_json(doc)
-        wrapper = {"crc": zlib.crc32(body.encode("utf-8")), "manifest": doc}
-        self._write_atomic(
-            self.manifest_path,
-            json.dumps(wrapper, sort_keys=True).encode("utf-8"),
-        )
+        self._save_sealed(self.manifest_path, "manifest", doc)
 
     def load_manifest(self, expect_params: dict | None = None) -> dict:
         """Load and validate the manifest.
@@ -148,24 +187,7 @@ class CheckpointStore:
         """
         if not self.manifest_path.exists():
             raise CheckpointError(f"no checkpoint manifest at {self.manifest_path}")
-        try:
-            wrapper = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise CheckpointError(
-                f"corrupt checkpoint manifest {self.manifest_path}: {err}"
-            ) from err
-        if not isinstance(wrapper, dict) or "manifest" not in wrapper:
-            raise CheckpointError(
-                f"corrupt checkpoint manifest {self.manifest_path}: "
-                "missing manifest body"
-            )
-        doc = wrapper["manifest"]
-        body = _canonical_json(doc)
-        if zlib.crc32(body.encode("utf-8")) != wrapper.get("crc"):
-            raise CheckpointError(
-                f"checkpoint manifest {self.manifest_path} failed its "
-                "integrity check (crc mismatch)"
-            )
+        doc = self._load_sealed(self.manifest_path, "manifest", "manifest")
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(
                 f"{self.manifest_path} is not a repro checkpoint"
@@ -257,32 +279,14 @@ class CheckpointStore:
                 for truss in trusses
             ],
         }
-        body = _canonical_json(payload)
-        wrapper = {"crc": zlib.crc32(body.encode("utf-8")), "payload": payload}
-        self._write_atomic(
-            self._level_path(k),
-            json.dumps(wrapper, sort_keys=True).encode("utf-8"),
-        )
+        self._save_sealed(self._level_path(k), "payload", payload)
 
     def load_level(self, k: int):
         """Load level ``k`` as a list of edge lists (decoded labels)."""
         path = self._level_path(k)
         if not path.exists():
             raise CheckpointError(f"missing checkpoint level file {path}")
-        try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
-            payload = wrapper["payload"]
-            body = _canonical_json(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError) as err:
-            raise CheckpointError(
-                f"corrupt checkpoint level file {path}: {err}"
-            ) from err
-        if zlib.crc32(body.encode("utf-8")) != wrapper.get("crc"):
-            raise CheckpointError(
-                f"checkpoint level file {path} failed its integrity "
-                "check (crc mismatch)"
-            )
+        payload = self._load_sealed(path, "payload", "level file")
         return [
             [(decode_node(u), decode_node(v)) for u, v in truss]
             for truss in payload["trusses"]
@@ -315,12 +319,7 @@ class CheckpointStore:
             "frontier": [encode_edges(c) for c in detail["frontier"]],
             "visited": [encode_edges(s) for s in detail["visited"]],
         }
-        body = _canonical_json(payload)
-        wrapper = {"crc": zlib.crc32(body.encode("utf-8")), "payload": payload}
-        self._write_atomic(
-            self.frontier_path,
-            json.dumps(wrapper, sort_keys=True).encode("utf-8"),
-        )
+        self._save_sealed(self.frontier_path, "payload", payload)
 
     def load_frontier(self):
         """Load the mid-peel snapshot, or None when none was saved.
@@ -334,20 +333,7 @@ class CheckpointStore:
         path = self.frontier_path
         if not path.exists():
             return None
-        try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
-            payload = wrapper["payload"]
-            body = _canonical_json(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError) as err:
-            raise CheckpointError(
-                f"corrupt checkpoint frontier file {path}: {err}"
-            ) from err
-        if zlib.crc32(body.encode("utf-8")) != wrapper.get("crc"):
-            raise CheckpointError(
-                f"checkpoint frontier file {path} failed its integrity "
-                "check (crc mismatch)"
-            )
+        payload = self._load_sealed(path, "payload", "frontier file")
 
         def decode_edges(edges):
             return [(decode_node(u), decode_node(v)) for u, v in edges]

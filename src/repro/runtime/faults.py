@@ -295,6 +295,25 @@ class FaultPlan:
     __call__ = check
 
 
+def _find_fault_plan(hook) -> FaultPlan | None:
+    """The :class:`FaultPlan` a progress hook carries, or None.
+
+    Fault plans travel in ``progress=`` like any other hook. The plan is
+    ``hook`` itself or a member of a
+    :func:`~repro.runtime.progress.chain_hooks` composition, nested or
+    not; the harness hands its pool faults to the executor and its disk
+    faults to the checkpoint store, and the service takes its service
+    faults from it. A run takes one plan: the first one found.
+    """
+    if isinstance(hook, FaultPlan):
+        return hook
+    for member in getattr(hook, "hooks", ()):
+        plan = _find_fault_plan(member)
+        if plan is not None:
+            return plan
+    return None
+
+
 def corrupt_checkpoint(directory, target: str = "manifest",
                        mode: str = "garbage") -> Path:
     """Deterministically damage a checkpoint; returns the damaged file.

@@ -20,11 +20,17 @@ Only a cooperative *interrupt* (SIGINT, real or injected) escapes as an
 exception — :class:`~repro.exceptions.ComputationInterrupted`, carrying
 the checkpoint path — because an interrupted run has no result to hand
 back, only a snapshot to resume from.
+
+Every runner drives one shell, :class:`_Run`, which owns the lifecycle
+they share: checkpoint set-up and resume-or-clear, degradable checkpoint
+writes, the executor's lifetime, the mapping of breaches to degraded
+results, and the assembly of the :class:`PartialResult`.
 """
 
 from __future__ import annotations
 
 import zlib
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +58,7 @@ from repro.graphs.sampling import (
 )
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import CheckpointStore, decode_node, encode_node
+from repro.runtime.faults import _find_fault_plan
 from repro.runtime.progress import ProgressEvent, chain_hooks
 from repro.runtime.result import PartialResult
 from repro.runtime.spill import SpillDirectory
@@ -84,170 +91,221 @@ def _graph_fingerprint(graph: ProbabilisticGraph) -> dict:
     }
 
 
-def _require_plain_seed(seed, checkpointing: bool):
-    if checkpointing and seed is not None and not isinstance(seed, int):
-        raise CheckpointError(
-            "checkpointed runs need a reproducible seed: pass an int (or "
-            "None), not a Generator instance"
-        )
-    return seed
+def _widened_epsilon(epsilon, delta, n_requested, n_used):
+    """Theorem 3's accuracy over ``n_used`` of ``n_requested`` samples.
+
+    The requested ``epsilon`` holds when every requested sample counted;
+    fewer widen it to the Hoeffding bound of the samples that did, and
+    none leave no bound at all (None).
+    """
+    if n_used >= n_requested:
+        return epsilon
+    return hoeffding_epsilon(n_used, delta) if n_used > 0 else None
 
 
-class _Degradations:
-    """Accumulates degradation reasons applied during one run."""
+class _Run:
+    """The lifecycle every harnessed run shares.
 
-    def __init__(self):
+    Construction is the set-up: the checkpoint store (armed with the
+    disk faults of a :class:`~repro.runtime.faults.FaultPlan` found in
+    ``progress``), the int-seed check, the budget's clock and the hook
+    chain :attr:`hook`, and resume-or-clear — :attr:`manifest` is the
+    resumable manifest, or None.
+
+    Checkpoint writes go through :meth:`save`. The first
+    :class:`~repro.exceptions.CheckpointWriteError` (a full disk, a torn
+    atomic write) disables checkpointing for the rest of the run: it is
+    noted as a degradation, a ``checkpoint-degraded`` event goes to the
+    user's hooks, and later writes are no-ops — the computation still
+    produces its result, it just loses resumability. Reads never
+    degrade: a corrupt *existing* checkpoint still raises, because
+    silently ignoring one would resume the wrong run.
+
+    The runner's computation runs as ``with run:``. Leaving the block
+    closes what the run opened (the executor, a spill directory) and
+    restores a lifted memory limit. A budget breach, a ``MemoryError``
+    or a :class:`~repro.exceptions.TaskQuarantinedError` inside the
+    block is noted as ``"<cause> during <stage>"``, snapshotted with
+    :meth:`write_manifest`, kept in :attr:`error` and suppressed, so
+    control reaches the statement after the block, which returns the
+    incomplete result. A
+    :class:`~repro.exceptions.ComputationInterrupted` gets the
+    checkpoint path attached and propagates.
+    """
+
+    def __init__(self, kind: str, params: dict, *, budget, progress,
+                 checkpoint_dir, resume: bool, on_corrupt: str,
+                 seed=None):
+        self.kind = kind
+        self.params = params
+        self.budget = budget
+        self.progress = progress
+        self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        if (self.store is not None and seed is not None
+                and not isinstance(seed, int)):
+            raise CheckpointError(
+                "checkpointed runs need a reproducible seed: pass an int (or "
+                "None), not a Generator instance"
+            )
         self.reasons: list[str] = []
         self.fallback: str | None = None
+        #: What the run is doing, for the degradation note of a breach.
+        self.stage = kind
+        #: Runner-supplied ``() -> dict``: the resumable state that
+        #: :meth:`write_manifest` stores beside the params and status.
+        self.snapshot = None
+        self.executor = None
+        self.error: BaseException | None = None
+        self._checkpointing = self.store is not None
+        self._exit = ExitStack()
+        plan = _find_fault_plan(progress)
+        if self.store is not None and plan is not None:
+            self.store.write_fault = plan.take_disk_fault
+        if budget is not None:
+            budget.start()
+        self.hook = chain_hooks(progress, budget)
+        self.manifest = None
+        if self.store is not None and resume and self.store.exists():
+            try:
+                self.manifest = self.store.load_manifest(expect_params=params)
+            except CheckpointError:
+                if on_corrupt != "restart":
+                    raise
+                self.store.clear()
 
     def note(self, reason: str) -> None:
         self.reasons.append(reason)
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.reasons) or self.fallback is not None
-
-    @property
-    def reason(self) -> str | None:
-        return "; ".join(self.reasons) if self.reasons else None
-
-
-def _resume_or_clear(store: CheckpointStore, params: dict,
-                     on_corrupt: str) -> dict | None:
-    """Load a resumable manifest, honouring the corruption policy."""
-    if not store.exists():
-        return None
-    try:
-        return store.load_manifest(expect_params=params)
-    except CheckpointError:
-        if on_corrupt == "restart":
-            store.clear()
-            return None
-        raise
-
-
-def _attach_checkpoint(err: ComputationInterrupted,
-                       store: CheckpointStore | None) -> None:
-    if store is not None and err.checkpoint_path is None:
-        err.checkpoint_path = str(store.path)
-
-
-class _DegradableStore:
-    """A checkpoint store whose *writes* degrade instead of failing.
-
-    The first :class:`~repro.exceptions.CheckpointWriteError` (a full
-    disk, a torn atomic write) disables checkpointing for the rest of
-    the run: the error is recorded as a degradation reason, a
-    ``checkpoint-degraded`` event is emitted through the user's progress
-    hooks, and every later write becomes a no-op — the computation keeps
-    going and still produces its result, it just loses resumability.
-    Reads are never degraded: a corrupt *existing* checkpoint still
-    raises, because silently ignoring one would resume the wrong run.
-    """
-
-    def __init__(self, store: CheckpointStore, note, progress):
-        self._store = store
-        self._note = note
-        self._progress = progress
-        self.degraded = False
-        self.write_error: CheckpointWriteError | None = None
-
-    def __getattr__(self, name):
-        # Reads, paths, clears, GC: straight through to the real store.
-        return getattr(self._store, name)
-
-    def _disable(self, err: CheckpointWriteError) -> None:
-        self.degraded = True
-        self.write_error = err
-        self._note(
-            f"checkpoint write failed ({err}); checkpointing disabled "
-            "for the rest of the run"
-        )
-        if self._progress is not None:
-            self._progress(ProgressEvent(
-                "checkpoint-degraded", step=0,
-                detail={"checkpoint_error": str(err), "path": err.path},
-            ))
-
-    def _write(self, method, *args) -> None:
-        if self.degraded:
+    # -- checkpoint writes ---------------------------------------------
+    def save(self, method: str, *args) -> None:
+        """Call the store's ``method`` unless checkpointing is off."""
+        if not self._checkpointing:
             return
         try:
-            getattr(self._store, method)(*args)
+            getattr(self.store, method)(*args)
         except CheckpointWriteError as err:
-            self._disable(err)
+            self._checkpointing = False
+            self.note(
+                f"checkpoint write failed ({err}); checkpointing disabled "
+                "for the rest of the run"
+            )
+            if self.progress is not None:
+                self.progress(ProgressEvent(
+                    "checkpoint-degraded", step=0,
+                    detail={"checkpoint_error": str(err), "path": err.path},
+                ))
 
-    def save_manifest(self, manifest: dict) -> None:
-        self._write("save_manifest", manifest)
+    def write_manifest(self, status: str = "in-progress") -> None:
+        if self._checkpointing and self.snapshot is not None:
+            self.save("save_manifest", {
+                "params": self.params, **self.snapshot(), "status": status,
+            })
 
-    def save_sample_batch(self, index: int, presence) -> None:
-        self._write("save_sample_batch", index, presence)
+    # -- resources -----------------------------------------------------
+    def open_executor(self, graph, workers, **options):
+        """Start the run's executor; it closes when the run's block exits."""
+        from repro.parallel import ParallelExecutor
 
-    def save_level(self, k: int, trusses) -> None:
-        self._write("save_level", k, trusses)
+        # None means serial: the inline executor (0 would mean "auto").
+        self.executor = ParallelExecutor(
+            1 if workers is None else workers, graph=graph,
+            faults=_find_fault_plan(self.progress), **options,
+        ).start()
+        self._exit.callback(self.executor.close)
+        return self.executor
 
-    def save_frontier(self, detail) -> None:
-        self._write("save_frontier", detail)
+    def on_exit(self, callback) -> None:
+        """Run ``callback()`` when the run's block exits."""
+        self._exit.callback(callback)
 
+    def lift_memory_limit(self, budget: Budget) -> None:
+        """Drop ``budget``'s memory limit until the run's block exits.
 
-def _wrap_store(store: CheckpointStore | None, note,
-                progress) -> _DegradableStore | None:
-    """Wrap a store (arming any injected disk faults) or pass None."""
-    if store is None:
-        return None
-    plan = _disk_faults_of(progress)
-    if plan is not None:
-        store.write_fault = plan.take_disk_fault
-    return _DegradableStore(store, note, progress)
+        Peak RSS is monotone, so once the probe tripped it would re-fire
+        at every later boundary; the caller's limit comes back for its
+        next run.
+        """
+        limit = budget.max_memory_bytes
+        budget.max_memory_bytes = None
+        self._exit.callback(setattr, budget, "max_memory_bytes", limit)
 
+    def __enter__(self) -> "_Run":
+        return self
 
-def _disk_faults_of(progress):
-    """Extract a FaultPlan with armed disk faults from a progress hook.
+    def __exit__(self, kind, err, traceback) -> bool:
+        with self._exit:
+            if isinstance(err, ComputationInterrupted):
+                if self.store is not None and err.checkpoint_path is None:
+                    err.checkpoint_path = str(self.store.path)
+                return False
+            if isinstance(err, BudgetExceededError):
+                cause = "budget exhausted"
+            elif isinstance(err, MemoryError):
+                cause = "out of memory"
+            elif isinstance(err, TaskQuarantinedError):
+                # Degradable stages quarantine with the "skip" policy and
+                # never raise; this is the backstop for the others.
+                cause = "quarantined poison payloads"
+            else:
+                return False
+            self.error = err
+            self.note(f"{cause} during {self.stage}: {err}")
+            self.write_manifest()
+            return True
 
-    Mirrors :func:`_pool_faults_of`: a FaultPlan carrying
-    ``exhaust_disk`` faults is found anywhere in the (possibly chained)
-    progress hook and handed to the checkpoint store as its
-    ``write_fault`` supplier.
-    """
-    if progress is None:
-        return None
-    if getattr(progress, "_disk_faults", 0) > 0:
-        return progress
-    for sub in getattr(progress, "hooks", ()):  # chain_hooks composition
-        found = _disk_faults_of(sub)
-        if found is not None:
-            return found
-    return None
+    # -- result --------------------------------------------------------
+    def finish(self, result, complete: bool, *, epsilon=None, delta=None,
+               n_requested=None, n_drawn=None, batches_drawn=None,
+               detail=None, **fields) -> PartialResult:
+        """Assemble the run's :class:`PartialResult`.
 
-
-def _pool_faults_of(progress):
-    """Extract a FaultPlan carrying pool faults from a progress hook.
-
-    A :class:`~repro.runtime.faults.FaultPlan` doubles as a progress
-    hook; when one with armed pool faults (``kill_worker`` etc.) is
-    passed as ``progress``, the harness hands it to the executor so the
-    faults reach the worker pool.
-    """
-    if progress is None:
-        return None
-    if (getattr(progress, "pool_faults", None) is not None
-            or getattr(progress, "_corrupt_segment", False)):
-        return progress
-    for sub in getattr(progress, "hooks", ()):  # chain_hooks composition
-        found = _pool_faults_of(sub)
-        if found is not None:
-            return found
-    return None
-
-
-def _quarantine_report(executor) -> tuple[list, int]:
-    """The quarantine records and worst-case sample-row loss so far."""
-    if executor is None:
-        return [], 0
-    return (
-        list(getattr(executor, "quarantined", [])),
-        int(getattr(executor, "sample_rows_lost", 0)),
-    )
+        Folds in the executor's quarantine records and its worst
+        sample-row loss: the worst single oracle evaluation classified
+        only ``n_drawn - rows_lost`` samples, so epsilon widens to that
+        count exactly like truncated sampling. A complete run's
+        checkpoint is garbage-collected (``batches_drawn`` bounds the
+        sample batches kept).
+        """
+        quarantined = self.executor.quarantined if self.executor else []
+        rows_lost = self.executor.sample_rows_lost if self.executor else 0
+        reasons = list(self.reasons)
+        if quarantined:
+            reasons.append(
+                f"{len(quarantined)} parallel payload(s) quarantined: "
+                + "; ".join(q.describe() for q in quarantined)
+            )
+            detail = {"quarantined": [q.to_dict() for q in quarantined],
+                      **(detail or {})}
+        effective = epsilon
+        if n_requested is not None:
+            n_used = n_drawn - rows_lost
+            effective = _widened_epsilon(epsilon, delta, n_requested, n_used)
+            if rows_lost:
+                reasons.append(
+                    f"worst oracle evaluation lost {rows_lost} sample rows "
+                    "to quarantined blocks; epsilon widened to the "
+                    f"{n_used}-sample Hoeffding bound"
+                )
+        if complete and self._checkpointing:
+            # The run is done: stale mid-peel snapshots, torn temp
+            # files, and out-of-range sample batches are dead weight.
+            self.store.collect_garbage(batches_drawn=batches_drawn)
+        return PartialResult(
+            kind=self.kind,
+            result=result,
+            complete=complete,
+            degraded=bool(reasons) or self.fallback is not None,
+            reason="; ".join(reasons) if reasons else None,
+            fallback=self.fallback,
+            requested_epsilon=epsilon,
+            effective_epsilon=effective,
+            n_samples_requested=n_requested,
+            n_samples_drawn=n_drawn,
+            checkpoint_path=str(self.store.path) if self.store else None,
+            elapsed_seconds=self.budget.elapsed() if self.budget else None,
+            detail=detail or {},
+            **fields,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +383,8 @@ def run_global(
         count, so this is reported as a ``resource-pressure`` event, not
         a degradation. ``"abort"`` restores the old behaviour: stop
         sampling early and degrade via the widened Hoeffding epsilon.
+        The breached budget's memory limit is lifted for the rest of
+        this run only.
     task_cpu_timeout:
         CPU-stall supervision (see
         :class:`~repro.parallel.ParallelExecutor`): a worker whose CPU
@@ -338,19 +398,22 @@ def run_global(
         completed level (possibly empty), never an exception for budget
         breaches.
     """
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    seed = _require_plain_seed(seed, store is not None)
-    if store is not None and seed is None:
+    if checkpoint_dir and seed is None:
         raise CheckpointError(
             "checkpointed global runs need an int seed: the per-seed "
             "RNG streams are rooted at it, and a root derived from a "
             "None seed cannot be re-derived on resume"
         )
+    if on_memory_pressure not in ("abort", "spill"):
+        raise ParameterError(
+            f"on_memory_pressure must be 'abort' or 'spill', "
+            f"got {on_memory_pressure!r}"
+        )
     n_requested = (
         n_samples if n_samples is not None
         else hoeffding_sample_size(epsilon, delta)
     )
-    params = {
+    run = _Run("global", {
         "kind": "global",
         "gamma": gamma,
         "epsilon": epsilon,
@@ -369,34 +432,24 @@ def run_global(
         # compatible run. (Pre-unification "sequential" checkpoints are
         # a different family and correctly refuse to resume.)
         "rng_scheme": "per-seed",
-    }
-    if on_memory_pressure not in ("abort", "spill"):
-        raise ParameterError(
-            f"on_memory_pressure must be 'abort' or 'spill', "
-            f"got {on_memory_pressure!r}"
-        )
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
+    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
+        resume=resume, on_corrupt=on_corrupt, seed=seed)
+    store = run.store
 
     rng = np.random.default_rng(seed)
     batcher = SampleBatcher(graph, n_requested, batch_size, seed=rng)
 
     completed: dict[int, list[ProbabilisticGraph]] = {}
-    decomp_finished = False
+    finished = False
     sampling_stopped_early: str | None = None
-    manifest = None
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
+    manifest = run.manifest
     if manifest is not None:
         sampling_state = manifest["sampling"]
         for index in range(sampling_state["batches_drawn"]):
             batcher.load_batch(store.load_sample_batch(index))
         sampling_stopped_early = sampling_state.get("stopped_early")
         if sampling_stopped_early:
-            degr.note(sampling_stopped_early)
+            run.note(sampling_stopped_early)
         rng.bit_generator.state = manifest["rng_state"]
         decomp_state = manifest.get("decomp") or {}
         for k in decomp_state.get("levels", []):
@@ -404,16 +457,16 @@ def run_global(
                 graph.edge_subgraph(truss_edges)
                 for truss_edges in store.load_level(int(k))
             ]
-        decomp_finished = bool(decomp_state.get("finished"))
+        finished = bool(decomp_state.get("finished"))
         if decomp_state.get("fallback"):
-            degr.fallback = decomp_state["fallback"]
+            run.fallback = decomp_state["fallback"]
 
     # Mid-peel GTD snapshot (sharded frontier rounds): resume continues
     # the interrupted level from its last round boundary instead of
     # restarting it. Only meaningful while the run is still on the exact
     # search — a recorded GTD->GBU fallback supersedes it.
     frontier_state = None
-    if manifest is not None and method == "gtd" and degr.fallback is None:
+    if manifest is not None and method == "gtd" and run.fallback is None:
         try:
             frontier_state = store.load_frontier()
         except CheckpointError:
@@ -421,169 +474,119 @@ def run_global(
                 raise
             store.clear_frontier()
 
-    # Mutable decomposition state shared with the compute stages (which
-    # run in a helper function): the manifest writer must observe method
-    # fallbacks and completion as they happen.
-    state = {
-        "method": method if degr.fallback is None else "gbu",
-        "finished": decomp_finished,
+    current_method = method if run.fallback is None else "gbu"
+    run.snapshot = lambda: {
+        "rng_state": rng.bit_generator.state,
+        "sampling": {
+            "n_target": n_requested,
+            "batch_size": batch_size,
+            "batches_drawn": batcher.batches_drawn,
+            "samples_drawn": batcher.samples_drawn,
+            "stopped_early": sampling_stopped_early,
+        },
+        "decomp": {
+            "levels": sorted(completed),
+            "finished": finished,
+            "method": current_method,
+            "fallback": run.fallback,
+        },
     }
-
-    def write_manifest(status: str = "in-progress") -> None:
-        if store is None:
-            return
-        store.save_manifest({
-            "params": params,
-            "rng_state": rng.bit_generator.state,
-            "sampling": {
-                "n_target": n_requested,
-                "batch_size": batch_size,
-                "batches_drawn": batcher.batches_drawn,
-                "samples_drawn": batcher.samples_drawn,
-                "stopped_early": sampling_stopped_early,
-            },
-            "decomp": {
-                "levels": sorted(completed),
-                "finished": state["finished"],
-                "method": state["method"],
-                "fallback": degr.fallback,
-            },
-            "status": status,
-        })
-
-    # Filled in once the executor exists (after sampling); `finish`
-    # reads it to fold quarantine degradation into the result. The
-    # spill block below records where the samples went, if anywhere.
-    supervision = {"executor": None}
+    # Where the samples went under memory pressure, if anywhere.
     spill_info: dict = {}
 
     def finish(result, complete: bool) -> PartialResult:
-        quarantined, rows_lost = _quarantine_report(supervision["executor"])
-        # The worst single oracle evaluation bounds the accuracy claim:
-        # it classified only N - rows_lost samples, so epsilon widens to
-        # that effective sample count, exactly like truncated sampling.
-        eff_n = max(batcher.samples_drawn - rows_lost, 1)
-        eff_eps = (
-            epsilon if eff_n >= n_requested
-            else hoeffding_epsilon(eff_n, delta)
-        )
-        reasons = list(degr.reasons)
-        if quarantined:
-            reasons.append(
-                f"{len(quarantined)} parallel payload(s) quarantined: "
-                + "; ".join(q.describe() for q in quarantined)
-            )
-        if rows_lost:
-            reasons.append(
-                f"worst oracle evaluation lost {rows_lost} sample rows "
-                "to quarantined blocks; epsilon widened to the "
-                f"{eff_n}-sample Hoeffding bound"
-            )
         detail = {}
-        if quarantined:
-            detail["quarantined"] = [q.to_dict() for q in quarantined]
-        if supervision["executor"] is not None:
-            detail["supervision"] = (
-                supervision["executor"].supervision_stats()
-            )
+        if run.executor is not None:
+            detail["supervision"] = run.executor.supervision_stats()
         detail.update(spill_info)
-        if complete and store is not None and not store.degraded:
-            # The run is done: stale mid-peel snapshots, torn temp
-            # files, and out-of-range sample batches are dead weight.
-            store.collect_garbage(batches_drawn=batcher.batches_drawn)
-        return PartialResult(
-            kind="global",
-            result=result,
-            complete=complete,
-            degraded=degr.degraded or bool(quarantined),
-            reason="; ".join(reasons) if reasons else None,
-            fallback=degr.fallback,
-            requested_epsilon=epsilon,
-            effective_epsilon=eff_eps,
-            n_samples_requested=n_requested,
-            n_samples_drawn=batcher.samples_drawn,
-            completed_k=max(completed, default=None),
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
-            detail=detail,
+        return run.finish(
+            result, complete, epsilon=epsilon, delta=delta,
+            n_requested=n_requested, n_drawn=batcher.samples_drawn,
+            batches_drawn=batcher.batches_drawn,
+            completed_k=max(completed, default=None), detail=detail,
         )
 
-    # -- stage 1: sampling --------------------------------------------
-    spill_pending = False
-    while (batcher.batches_drawn < batcher.n_batches
-           and not sampling_stopped_early):
-        index = batcher.batches_drawn
-        try:
-            presence = batcher.draw_next()
-        except MemoryError:
-            sampling_stopped_early = (
-                f"out of memory drawing sample batch {index}"
-            )
-            degr.note(sampling_stopped_early)
-            break
-        if store is not None:
-            store.save_sample_batch(index, presence)
-            write_manifest()
-        if hook is None:
-            continue
-        try:
-            hook(ProgressEvent(
-                "sample-batch", step=index, total=batcher.n_batches,
-                detail={"samples_drawn": batcher.samples_drawn},
-            ))
-        except BudgetExceededError as err:
-            if (err.resource == "memory" and on_memory_pressure == "spill"
-                    and not spill_pending):
-                # Memory pressure under the spill policy: bit-pack the
-                # batches already drawn (8x smaller in place), lift the
-                # memory limit — peak RSS is monotone, so the tripped
-                # probe would re-fire forever — and finish sampling;
-                # the packed matrix moves to a read-only memmap below.
-                # Output is byte-identical, so this is *not* degraded.
-                batcher.compact()
-                if err.budget is not None:
-                    err.budget.max_memory_bytes = None
-                spill_pending = True
+    def build_result() -> GlobalTrussResult:
+        return GlobalTrussResult(
+            graph=graph, gamma=gamma, epsilon=effective_epsilon,
+            delta=delta, n_samples=n_drawn, method=current_method,
+            trusses={k: list(v) for k, v in sorted(completed.items())},
+        )
+
+    with run:
+        # -- stage 1: sampling ----------------------------------------
+        run.stage = "sampling"
+        spill_pending = False
+        while (batcher.batches_drawn < batcher.n_batches
+               and not sampling_stopped_early):
+            index = batcher.batches_drawn
+            try:
+                presence = batcher.draw_next()
+            except MemoryError:
+                sampling_stopped_early = (
+                    f"out of memory drawing sample batch {index}"
+                )
+                run.note(sampling_stopped_early)
+                break
+            if store is not None:
+                run.save("save_sample_batch", index, presence)
+                run.write_manifest()
+            if run.hook is None:
                 continue
-            sampling_stopped_early = str(err)
-            degr.note(sampling_stopped_early)
-            write_manifest()
-            break
-        except MemoryError as err:
-            sampling_stopped_early = f"out of memory after batch {index}: {err}"
-            degr.note(sampling_stopped_early)
-            write_manifest()
-            break
-        except ComputationInterrupted as err:
-            _attach_checkpoint(err, store)
-            raise
+            try:
+                run.hook(ProgressEvent(
+                    "sample-batch", step=index, total=batcher.n_batches,
+                    detail={"samples_drawn": batcher.samples_drawn},
+                ))
+            except BudgetExceededError as err:
+                if (err.resource == "memory"
+                        and on_memory_pressure == "spill"
+                        and not spill_pending):
+                    # Memory pressure under the spill policy: bit-pack
+                    # the batches already drawn (8x smaller in place),
+                    # lift the memory limit and finish sampling; the
+                    # packed matrix moves to a read-only memmap below.
+                    # Output is byte-identical, so this is *not*
+                    # degraded.
+                    batcher.compact()
+                    if err.budget is not None:
+                        run.lift_memory_limit(err.budget)
+                    spill_pending = True
+                    continue
+                sampling_stopped_early = str(err)
+                run.note(sampling_stopped_early)
+                run.write_manifest()
+                break
+            except MemoryError as err:
+                sampling_stopped_early = (
+                    f"out of memory after batch {index}: {err}"
+                )
+                run.note(sampling_stopped_early)
+                run.write_manifest()
+                break
 
-    if batcher.samples_drawn == 0:
-        write_manifest()
-        return finish(None, complete=False)
-    world_set = batcher.result(partial_ok=True)
-    n_drawn = batcher.samples_drawn
-    effective_epsilon = (
-        epsilon if n_drawn >= n_requested
-        else hoeffding_epsilon(n_drawn, delta)
-    )
+        if batcher.samples_drawn == 0:
+            run.write_manifest()
+            return finish(None, complete=False)
+        world_set = batcher.result(partial_ok=True)
+        n_drawn = batcher.samples_drawn
+        effective_epsilon = _widened_epsilon(epsilon, delta, n_requested,
+                                             n_drawn)
 
-    # The executor (and its shared-memory sample segment) lives for the
-    # compute stages only; the sampling stage above is sequential-RNG
-    # and stays out of it by design. A spilled sample set's memmap file
-    # (and its directory, when privately created) lives exactly as long.
-    executor = None
-    spill_store = None
-    try:
+        # The executor (and its shared-memory sample segment) lives for
+        # the compute stages only; the sampling stage above is
+        # sequential-RNG and stays out of it by design. A spilled sample
+        # set's memmap file (and its directory, when privately created)
+        # lives exactly as long.
         if spill_pending:
             spill_store = SpillDirectory(spill_dir)
+            run.on_exit(spill_store.cleanup)
             spilled_path = world_set.spill_to(
                 spill_store.allocate("samples.bits")
             )
             if spilled_path is not None:
                 spill_info["spilled_to"] = str(spilled_path)
-            if spilled_path is not None and progress is not None:
-                try:
+                if progress is not None:
                     progress(ProgressEvent(
                         "resource-pressure", step=0, detail={
                             "resource": "memory", "action": "spill",
@@ -592,173 +595,93 @@ def run_global(
                             "free_bytes": spill_store.free_bytes(),
                         },
                     ))
-                except ComputationInterrupted as err:
-                    _attach_checkpoint(err, store)
-                    raise
-        from repro.parallel import ParallelExecutor
-
-        # None means serial: the inline executor (0 would mean "auto").
-        executor = ParallelExecutor(
-            1 if workers is None else workers, graph=graph,
-            samples=world_set, task_timeout=task_timeout,
+        executor = run.open_executor(
+            graph, workers, samples=world_set, task_timeout=task_timeout,
             task_cpu_timeout=task_cpu_timeout,
             max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-        supervision["executor"] = executor
-        return _run_global_compute(
-            graph, gamma, delta, seed, max_k, max_states, budget, store,
-            progress, gtd_fraction, degr, hook, rng, completed, state,
-            write_manifest, finish,
-            effective_epsilon=effective_epsilon, n_drawn=n_drawn,
-            world_set=world_set, executor=executor,
-            frontier_state=frontier_state,
         )
-    finally:
-        if executor is not None:
-            executor.close()
-        if spill_store is not None:
-            spill_store.cleanup()
 
+        # -- stage 2: local pruning (Eq. 11 candidate generation) -----
+        run.stage = "local pruning"
+        local_result = local_truss_decomposition(graph, gamma,
+                                                 progress=run.hook)
 
-def _run_global_compute(
-    graph, gamma, delta, seed, max_k, max_states, budget, store,
-    progress, gtd_fraction, degr, hook, rng, completed, state,
-    write_manifest, finish, *,
-    effective_epsilon, n_drawn, world_set, executor,
-    frontier_state=None,
-):
-    """Stages 2-3 of :func:`run_global` (split out for executor scoping).
+        # -- stage 3: the k loop --------------------------------------
+        run.stage = "decomposition"
 
-    ``state`` is the mutable ``{"method", "finished"}`` dict shared with
-    the caller's manifest writer. ``frontier_state`` is an optional
-    mid-peel GTD snapshot restored from the checkpoint; it is consumed
-    by the first (and only the first) GTD stage.
-    """
-    # -- stage 2: local pruning (Eq. 11 candidate generation) ---------
-    try:
-        local_result = local_truss_decomposition(graph, gamma, progress=hook)
-    except BudgetExceededError as err:
-        degr.note(f"budget exhausted during local pruning: {err}")
-        write_manifest()
-        return finish(None, complete=False)
-    except MemoryError as err:
-        degr.note(f"out of memory during local pruning: {err}")
-        write_manifest()
-        return finish(None, complete=False)
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        raise
-
-    # -- stage 3: the k loop ------------------------------------------
-    def level_checkpoint(event: ProgressEvent) -> None:
-        if event.phase == "gtd-frontier":
-            # Mid-peel round boundary: snapshot before any other hook
-            # (fault plan, budget) can abort, so a kill here resumes
-            # from this exact round.
+        def level_checkpoint(event: ProgressEvent) -> None:
+            if event.phase == "gtd-frontier":
+                # Mid-peel round boundary: snapshot before any other hook
+                # (fault plan, budget) can abort, so a kill here resumes
+                # from this exact round.
+                run.save("save_frontier", event.detail)
+                return
+            if event.phase != "global-level-done":
+                return
+            k = event.detail["k"]
+            completed[k] = list(event.detail["trusses"])
             if store is not None:
-                store.save_frontier(event.detail)
-            return
-        if event.phase != "global-level-done":
-            return
-        k = event.detail["k"]
-        completed[k] = list(event.detail["trusses"])
-        if store is not None:
-            store.save_level(k, completed[k])
-            # The finished level supersedes any mid-peel snapshot.
-            store.clear_frontier()
-            write_manifest()
+                run.save("save_level", k, completed[k])
+                # The finished level supersedes any mid-peel snapshot.
+                store.clear_frontier()
+                run.write_manifest()
 
-    def build_result() -> GlobalTrussResult:
-        return GlobalTrussResult(
-            graph=graph, gamma=gamma, epsilon=effective_epsilon,
-            delta=delta, n_samples=n_drawn, method=state["method"],
-            trusses={k: list(v) for k, v in sorted(completed.items())},
-        )
+        if finished:
+            return finish(build_result(), complete=True)
 
-    if state["finished"]:
-        return finish(build_result(), complete=True)
+        def run_stage(stage_method: str, extra_hook=None):
+            return global_truss_decomposition(
+                graph, gamma, epsilon=effective_epsilon, delta=delta,
+                method=stage_method, seed=rng, n_samples=n_drawn,
+                local_result=local_result, samples=world_set, max_k=max_k,
+                max_states=max_states,
+                progress=chain_hooks(level_checkpoint, progress, budget,
+                                     extra_hook),
+                start_k=max(completed, default=1) + 1,
+                initial_trusses={k: list(v) for k, v in completed.items()},
+                executor=executor,
+                # Per-seed streams root at the int seed, so a resumed run
+                # (and a GTD->GBU fallback stage) derives the exact same
+                # streams regardless of where the main generator's state
+                # was when the run was killed or degraded. A None seed
+                # falls back to drawing the root from ``rng``, which is
+                # fine: every checkpointed run requires an int seed.
+                rng_root=seed,
+                frontier_state=(frontier_state if stage_method == "gtd"
+                                else None),
+            )
 
-    def run_stage(stage_method: str, extra_hook=None) -> GlobalTrussResult:
-        stage_hook = chain_hooks(level_checkpoint, progress, budget,
-                                 extra_hook)
-        return global_truss_decomposition(
-            graph, gamma, epsilon=effective_epsilon, delta=delta,
-            method=stage_method, seed=rng, n_samples=n_drawn,
-            local_result=local_result, samples=world_set, max_k=max_k,
-            max_states=max_states, progress=stage_hook,
-            start_k=max(completed, default=1) + 1,
-            initial_trusses={k: list(v) for k, v in completed.items()},
-            executor=executor,
-            # Per-seed streams root at the int seed, so a resumed run
-            # (and a GTD->GBU fallback stage) derives the exact same
-            # streams regardless of where the main generator's state
-            # was when the run was killed or degraded. A None seed
-            # falls back to drawing the root from ``rng``, which is
-            # fine: every checkpointed run requires an int seed.
-            rng_root=seed,
-            frontier_state=(frontier_state if stage_method == "gtd"
-                            else None),
-        )
+        soft_budget = None
+        if (current_method == "gtd" and budget is not None
+                and budget.remaining() is not None):
+            soft_budget = Budget(
+                deadline=budget.remaining() * gtd_fraction,
+                clock=budget._clock,
+            ).start()
 
-    soft_budget = None
-    if (state["method"] == "gtd" and budget is not None
-            and budget.remaining() is not None):
-        soft_budget = Budget(
-            deadline=budget.remaining() * gtd_fraction,
-            clock=budget._clock,
-        ).start()
-
-    try:
         try:
-            result = run_stage(state["method"], extra_hook=soft_budget)
-        except BudgetExceededError as err:
-            if (soft_budget is not None and err.budget is soft_budget
-                    and state["method"] == "gtd"):
-                degr.fallback = "gtd->gbu"
-                degr.note(
-                    "exact top-down search exceeded its share of the "
-                    f"deadline ({err}); degrading to the bottom-up heuristic"
-                )
-                state["method"] = "gbu"
-                write_manifest()
-                result = run_stage("gbu")
+            result = run_stage(current_method, extra_hook=soft_budget)
+        except (BudgetExceededError, DecompositionError) as err:
+            if isinstance(err, BudgetExceededError):
+                if soft_budget is None or err.budget is not soft_budget:
+                    raise
+                why = f"exceeded its share of the deadline ({err})"
+            elif current_method == "gtd":
+                why = f"gave up ({err})"
             else:
                 raise
-        except DecompositionError as err:
-            if state["method"] == "gtd":
-                degr.fallback = "gtd->gbu"
-                degr.note(
-                    f"exact top-down search gave up ({err}); degrading "
-                    "to the bottom-up heuristic"
-                )
-                state["method"] = "gbu"
-                write_manifest()
-                result = run_stage("gbu")
-            else:
-                raise
-    except BudgetExceededError as err:
-        degr.note(f"budget exhausted during decomposition: {err}")
-        write_manifest()
-        return finish(build_result(), complete=False)
-    except MemoryError as err:
-        degr.note(f"out of memory during decomposition: {err}")
-        write_manifest()
-        return finish(build_result(), complete=False)
-    except TaskQuarantinedError as err:
-        # Degradable stages quarantine with the "skip" policy and never
-        # raise; this is the backstop for a non-degradable map.
-        degr.note(f"decomposition quarantined poison payloads: {err}")
-        write_manifest()
-        return finish(build_result(), complete=False)
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        write_manifest()
-        raise
+            run.fallback = "gtd->gbu"
+            run.note(f"exact top-down search {why}; degrading to the "
+                     "bottom-up heuristic")
+            current_method = "gbu"
+            run.write_manifest()
+            result = run_stage("gbu")
 
-    state["finished"] = True
-    write_manifest(status="complete")
-    return finish(result, complete=True)
+        finished = True
+        run.write_manifest(status="complete")
+        return finish(result, complete=True)
+    return finish(build_result() if run.stage == "decomposition" else None,
+                  complete=False)
 
 
 # ----------------------------------------------------------------------
@@ -834,8 +757,7 @@ def run_nucleus(
         from repro.parallel import resolve_workers
 
         resolve_workers(workers)
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    params = {
+    run = _Run("nucleus", {
         "kind": "nucleus",
         "r": r,
         "s": s,
@@ -846,67 +768,35 @@ def run_nucleus(
         # that folded them in another order ("adjacency": serial local
         # runs; "canonical": (type name, str) order) must not resume.
         "pmf_order": "natural",
-    }
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
+    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
+        resume=resume, on_corrupt=on_corrupt)
+    run.stage = "peeling"
 
-    def to_partial(scores, complete, reason=None):
-        result = NucleusResult(
-            graph=graph, r=r, s=s, gamma=gamma, scores=scores, method=method,
-        )
-        reasons = [x for x in (reason, degr.reason) if x]
-        reason = "; ".join(reasons) if reasons else None
-        return PartialResult(
-            kind="nucleus", result=result, complete=complete,
-            degraded=reason is not None, reason=reason,
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
+    def finish(scores, complete: bool) -> PartialResult:
+        return run.finish(
+            NucleusResult(graph=graph, r=r, s=s, gamma=gamma, scores=scores,
+                          method=method),
+            complete,
             detail={"r": r, "s": s, "cliques_assigned": len(scores)},
         )
 
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
-        if manifest is not None and manifest.get("status") == "complete":
-            scores = {
-                tuple(decode_node(x) for x in row[:-1]): int(row[-1])
-                for row in manifest["scores"]
-            }
-            return to_partial(scores, complete=True)
+    if run.manifest is not None and run.manifest.get("status") == "complete":
+        return finish({
+            tuple(decode_node(x) for x in row[:-1]): int(row[-1])
+            for row in run.manifest["scores"]
+        }, complete=True)
 
-    try:
+    with run:
         result = nucleus_decomposition(graph, r, s, gamma, method=method,
-                                       progress=hook)
-    except BudgetExceededError as err:
-        partial = err.partial or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"{err}; {len(partial)} cliques scored",
-        )
-    except MemoryError as err:
-        partial = getattr(err, "partial", None) or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"out of memory during peeling: {err}",
-        )
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        raise
-
-    if store is not None:
-        store.save_manifest({
-            "params": params,
-            "status": "complete",
-            "scores": sorted(
-                [encode_node(x) for x in cell] + [nu]
-                for cell, nu in result.scores.items()
-            ),
-        })
-        if not store.degraded:
-            store.collect_garbage()
-    return to_partial(result.scores, complete=True)
+                                       progress=run.hook)
+        run.snapshot = lambda: {"scores": sorted(
+            [encode_node(x) for x in cell] + [nu]
+            for cell, nu in result.scores.items()
+        )}
+        run.write_manifest(status="complete")
+        return finish(result.scores, complete=True)
+    return finish(dict(getattr(run.error, "partial", None) or {}),
+                  complete=False)
 
 
 # ----------------------------------------------------------------------
@@ -943,169 +833,102 @@ def run_reliability(
     so the sample stream, and hence the estimate, is byte-identical for
     every worker count (checkpoints are interchangeable between all of
     them). Hit counts are additive over disjoint batches, so merge order
-    cannot matter. The parent captures the RNG state before each draw,
+    cannot matter. The parent captures the RNG state after each draw,
     so a budget breach or interrupt mid-window still writes a
     per-batch-accurate checkpoint. A quarantined batch (supervision gave
     up on it) is dropped from both numerator and denominator — the
     estimate stays unbiased over the rows actually classified and
     epsilon widens accordingly.
     """
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    seed = _require_plain_seed(seed, store is not None)
-    params = {
+    from repro.parallel.supervisor import QUARANTINED
+
+    run = _Run("reliability", {
         "kind": "reliability",
         "n_samples": n_samples,
         "batch_size": batch_size,
         "seed": seed,
         "delta": delta,
         "graph": _graph_fingerprint(graph),
-    }
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
+    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
+        resume=resume, on_corrupt=on_corrupt, seed=seed)
 
     rng = np.random.default_rng(seed)
     batcher = SampleBatcher(graph, n_samples, batch_size, seed=rng)
-    edges = batcher.edges
-    hits = 0
-    batches_done = 0
-    rows_skipped = 0
-
-    manifest = None
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
-    if manifest is not None:
-        hits = int(manifest["hits"])
-        batches_done = int(manifest["batches_done"])
-        samples_done = int(manifest["samples_done"])
-        rng.bit_generator.state = manifest["rng_state"]
-    else:
-        samples_done = 0
-
-    def write_manifest(status: str = "in-progress") -> None:
-        if store is None:
-            return
-        store.save_manifest({
-            "params": params,
-            "hits": hits,
-            "batches_done": batches_done,
-            "samples_done": samples_done,
-            "rng_state": rng.bit_generator.state,
-            "status": status,
-        })
+    hits = batches_done = samples_done = rows_skipped = 0
+    if run.manifest is not None:
+        hits = int(run.manifest["hits"])
+        batches_done = int(run.manifest["batches_done"])
+        samples_done = int(run.manifest["samples_done"])
+        rng.bit_generator.state = run.manifest["rng_state"]
+    # The RNG state after the last merged batch: the parent draws a
+    # whole window ahead, so the live generator runs ahead of it.
+    rng_state = rng.bit_generator.state
+    run.snapshot = lambda: {
+        "hits": hits,
+        "batches_done": batches_done,
+        "samples_done": samples_done,
+        "rng_state": rng_state,
+    }
 
     def finish(complete: bool) -> PartialResult:
-        estimate = hits / samples_done if samples_done else None
-        quarantined, _ = _quarantine_report(executor)
         detail = {"hits": hits}
-        if quarantined:
-            detail["quarantined"] = [q.to_dict() for q in quarantined]
+        if rows_skipped:
             detail["rows_skipped"] = rows_skipped
-        return PartialResult(
-            kind="reliability", result=estimate, complete=complete,
-            degraded=degr.degraded, reason=degr.reason,
-            effective_epsilon=(
-                hoeffding_epsilon(samples_done, delta) if samples_done else None
-            ),
-            requested_epsilon=hoeffding_epsilon(n_samples, delta),
-            n_samples_requested=n_samples,
-            n_samples_drawn=samples_done,
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
-            detail=detail,
+        return run.finish(
+            hits / samples_done if samples_done else None, complete,
+            epsilon=hoeffding_epsilon(n_samples, delta), delta=delta,
+            n_requested=n_samples, n_drawn=samples_done, detail=detail,
         )
 
-    from repro.parallel import ParallelExecutor
-    from repro.parallel.supervisor import QUARANTINED
-
-    # None means serial: the inline executor (0 would mean "auto").
-    executor = ParallelExecutor(
-        1 if workers is None else workers, graph=graph,
-        task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-        max_task_retries=max_task_retries,
-        faults=_pool_faults_of(progress),
-    ).start()
-    nodes = list(graph.nodes())
-    # Inline there is nothing to overlap: one batch per window keeps the
-    # budget check between every two draws.
-    window = 1 if executor.pool_workers == 1 else 2 * executor.pool_workers
-    try:
+    with run:
+        executor = run.open_executor(
+            graph, workers, task_timeout=task_timeout,
+            task_cpu_timeout=task_cpu_timeout,
+            max_task_retries=max_task_retries,
+        )
+        nodes = list(graph.nodes())
+        edges = batcher.edges
+        # Inline there is nothing to overlap: one batch per window keeps
+        # the budget check between every two draws.
+        window = 1 if executor.pool_workers == 1 else 2 * executor.pool_workers
         while batches_done < batcher.n_batches:
             first = batches_done
-            limit = min(batcher.n_batches, first + window)
+            run.stage = f"reliability batch {first}"
+            batches = range(first, min(batcher.n_batches, first + window))
             # Draw the whole window sequentially in the parent — the RNG
             # stream is identical for every worker count — capturing the
-            # state before each batch so the per-batch manifests below
+            # state after each batch so the per-batch manifests below
             # stay resume-accurate mid-window.
-            states = []
-            rows_list = []
+            rows_list = [batcher.batch_rows(j) for j in batches]
             payloads = []
-            for j in range(first, limit):
-                states.append(batcher.rng_state())
-                rows = batcher.batch_rows(j)
-                rows_list.append(rows)
+            states = []
+            for rows in rows_list:
                 payloads.append((nodes, edges, batcher.draw_presence(rows)))
-            end_state = batcher.rng_state()
-            try:
-                counts = executor.map(
-                    "reliability-block", payloads, progress=hook,
-                    on_quarantine="skip",
-                )
-            except MemoryError as err:
-                # Nothing from this window was merged; rewind the RNG so
-                # the manifest matches `batches_done` drawn batches.
-                batcher.set_rng_state(states[0])
-                degr.note(
-                    f"out of memory classifying batch {first}: {err}"
-                )
-                write_manifest()
-                return finish(complete=False)
-
+                states.append(batcher.rng_state())
+            counts = executor.map(
+                "reliability-block", payloads, progress=run.hook,
+                on_quarantine="skip",
+            )
             # Merge strictly in batch order: manifests and hook events
-            # fire per batch, whatever the window.
-            for offset, count in enumerate(counts):
-                j = first + offset
-                rows = rows_list[offset]
-                after = (states[offset + 1] if offset + 1 < len(states)
-                         else end_state)
+            # fire per batch, whatever the window, each manifest with
+            # the RNG state after its batch.
+            for j, rows, count, rng_state in zip(batches, rows_list, counts,
+                                                 states):
                 if count is QUARANTINED:
                     rows_skipped += rows
-                    degr.note(
-                        f"reliability batch {j} quarantined after "
-                        f"repeated worker failures; {rows} rows dropped "
-                        "from the estimate"
-                    )
                 else:
                     hits += count
                     samples_done += rows
                 batches_done += 1
-                batcher.set_rng_state(after)
-                write_manifest()
-                if hook is None:
+                run.write_manifest()
+                if run.hook is None:
                     continue
-                try:
-                    hook(ProgressEvent(
-                        "reliability-batch", step=j,
-                        total=batcher.n_batches,
-                        detail={"samples_drawn": samples_done},
-                    ))
-                except BudgetExceededError as err:
-                    degr.note(str(err))
-                    write_manifest()
-                    return finish(complete=False)
-                except MemoryError as err:
-                    degr.note(f"out of memory after batch {j}: {err}")
-                    write_manifest()
-                    return finish(complete=False)
-                except ComputationInterrupted as err:
-                    _attach_checkpoint(err, store)
-                    raise
-    finally:
-        executor.close()
+                run.stage = f"reliability batch {j}"
+                run.hook(ProgressEvent(
+                    "reliability-batch", step=j, total=batcher.n_batches,
+                    detail={"samples_drawn": samples_done},
+                ))
 
-    write_manifest(status="complete")
-    if store is not None and not store.degraded:
-        store.collect_garbage()
-    return finish(complete=True)
+        run.write_manifest(status="complete")
+        return finish(complete=True)
+    return finish(complete=False)

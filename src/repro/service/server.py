@@ -47,7 +47,8 @@ from repro.exceptions import (
     ReproError,
     http_status_of,
 )
-from repro.runtime import Budget, InterruptGuard, chain_hooks
+from repro.runtime import Budget, FaultPlan, InterruptGuard, chain_hooks
+from repro.runtime.faults import _find_fault_plan
 from repro.runtime.progress import ProgressEvent
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker
@@ -95,35 +96,21 @@ class ServeConfig:
 
 
 class _FaultCarrier:
-    """Side-band bridge from the service's fault plans to the harness.
+    """Side-band bridge from the service's fault plan to the harness.
 
-    Build events reach the plans through :meth:`TrussService.emit_event`
-    (single delivery); this no-op hook only *exposes* them via
-    ``.hooks`` so the harness's recursive ``_pool_faults_of`` /
-    ``_disk_faults_of`` discovery finds armed ``kill_worker`` /
-    ``exhaust_disk`` faults and routes them into the worker pool and
-    the checkpoint store of background index builds.
+    Build events reach the plan through :meth:`TrussService.emit_event`
+    (single delivery); this no-op hook only *exposes* it via ``.hooks``,
+    the :func:`~repro.runtime.progress.chain_hooks` composition the
+    harness's fault-plan lookup walks, so armed ``kill_worker`` /
+    ``exhaust_disk`` faults reach the worker pool and the checkpoint
+    store of background index builds.
     """
 
-    def __init__(self, plans: tuple) -> None:
-        self.hooks = tuple(plans)
+    def __init__(self, plan: FaultPlan) -> None:
+        self.hooks = (plan,)
 
     def __call__(self, event: ProgressEvent) -> None:
         pass
-
-
-def _fault_sources(
-        progress: Callable[[ProgressEvent], None] | None) -> tuple:
-    """Hooks in ``progress`` that carry service fault tokens.
-
-    Mirrors the harness's ``_pool_faults_of``: walks one level of
-    ``chain_hooks`` composition looking for ``take_service_fault``.
-    """
-    if progress is None:
-        return ()
-    hooks = getattr(progress, "hooks", None) or (progress,)
-    return tuple(h for h in hooks
-                 if callable(getattr(h, "take_service_fault", None)))
 
 
 class TrussService:
@@ -135,7 +122,7 @@ class TrussService:
         self.config = config
         self._clock = clock
         self._progress = progress
-        self._fault_plans = _fault_sources(progress)
+        self._fault_plan = _find_fault_plan(progress)
         # Re-entrant: a watchdog alert raised *inside* emit_event (the
         # watchdog is itself an emit target) re-enters to deliver its
         # resource-pressure event.
@@ -188,11 +175,9 @@ class TrussService:
                 self.watchdog(event)
 
     def _take_fault(self, kind: str) -> float | None:
-        for plan in self._fault_plans:
-            value = plan.take_service_fault(kind)
-            if value is not None:
-                return value
-        return None
+        if self._fault_plan is None:
+            return None
+        return self._fault_plan.take_service_fault(kind)
 
     def _next_request_id(self) -> int:
         with self._seq_lock:
@@ -311,9 +296,9 @@ class TrussService:
                 if event.phase == "sample-batch":
                     time.sleep(pause)
 
-        hook = chain_hooks(self.emit_event,
-                           _FaultCarrier(self._fault_plans),
-                           throttle, *extra_hooks)
+        carrier = (None if self._fault_plan is None
+                   else _FaultCarrier(self._fault_plan))
+        hook = chain_hooks(self.emit_event, carrier, throttle, *extra_hooks)
         if key.kind == "global":
             return run_global(
                 graph, key.gamma, epsilon=key.epsilon, delta=key.delta,

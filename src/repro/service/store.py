@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.exceptions import ServiceError
+from repro.runtime import checkpoint
 
 __all__ = ["IndexKey", "IndexEntry", "IndexStore"]
 
@@ -149,18 +149,9 @@ class IndexEntry:
 
 def _write_atomic(path: Path, data: bytes) -> None:
     """Temp + fsync + rename so readers never observe a torn file."""
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        checkpoint._write_atomic(path, data)
     except OSError as err:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
         raise ServiceError(
             f"index write to {path} failed: {err}"
         ) from err

@@ -16,8 +16,11 @@ from repro.runtime import (
     corrupt_checkpoint,
     run_global,
     run_local,
+    run_nucleus,
     run_reliability,
     serialize_global_result,
+    serialize_local_result,
+    serialize_nucleus_result,
 )
 from repro.runtime.progress import ProgressEvent, chain_hooks
 
@@ -136,19 +139,39 @@ class TestBudgetBreachPaths:
                 progress=Budget(deadline=0.0))
 
 
+#: Every harness runner on a graph with triangles and 4-cliques, with the
+#: serializer that makes its answer comparable byte for byte.
+ENOSPC_RUNNERS = {
+    "run_global": (lambda **kw: global_run(running_example(), **kw),
+                   serialize_global_result),
+    "run_local": (lambda **kw: run_local(gnp_graph(12, 0.5, seed=2), 0.3,
+                                         **kw),
+                  serialize_local_result),
+    "run_nucleus": (lambda **kw: run_nucleus(gnp_graph(12, 0.5, seed=2),
+                                             3, 4, 0.3, **kw),
+                    serialize_nucleus_result),
+    "run_reliability": (lambda **kw: run_reliability(
+                            gnp_graph(12, 0.5, seed=2), n_samples=120,
+                            seed=5, batch_size=20, **kw),
+                        repr),
+}
+
+
 class TestDiskFaults:
     """Injected ENOSPC travels the real torn-write path end to end."""
 
-    def test_enospc_degrades_checkpointing_but_finishes(self, tmp_path):
-        graph = running_example()
-        baseline = serialize_global_result(global_run(graph).result)
+    @pytest.mark.parametrize("runner", sorted(ENOSPC_RUNNERS))
+    def test_enospc_degrades_checkpointing_but_finishes(self, tmp_path,
+                                                        runner):
+        run, serialize = ENOSPC_RUNNERS[runner]
+        baseline = serialize(run().result)
         events: list[ProgressEvent] = []
         plan = FaultPlan().exhaust_disk()
-        partial = global_run(graph, checkpoint_dir=tmp_path,
-                             progress=chain_hooks(events.append, plan))
+        partial = run(checkpoint_dir=tmp_path,
+                      progress=chain_hooks(events.append, plan))
         # The run completes and the answer is untouched...
         assert partial.complete
-        assert serialize_global_result(partial.result) == baseline
+        assert serialize(partial.result) == baseline
         # ...but the degradation is on the record.
         assert partial.degraded
         assert "checkpoint write failed" in partial.reason

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ParameterError
 from repro.graphs.sampling import WorldSampleSet, sample_possible_worlds
 from repro.runtime import (
+    Budget,
     FaultPlan,
     ResourceWatchdog,
     SpillDirectory,
@@ -236,6 +237,18 @@ class TestSpillPolicy:
         assert partial.degraded
         assert partial.n_samples_drawn < partial.n_samples_requested
         assert "memory" in partial.reason.lower()
+
+    def test_reused_budget_spills_every_run(self, tmp_path):
+        """A spill lifts the memory limit for its own run only."""
+        graph = dyadic_random_graph(8, 0.5, seed=3)
+        budget = Budget(max_memory_bytes=1)  # trips at the first batch
+        for run in range(2):
+            partial = run_global(graph, 0.3, method="gbu", seed=1,
+                                 n_samples=60, batch_size=20, budget=budget,
+                                 spill_dir=tmp_path / str(run))
+            assert partial.complete and not partial.degraded
+            assert "spilled_to" in partial.detail, f"run {run} did not spill"
+            assert budget.max_memory_bytes == 1
 
     def test_unknown_policy_rejected(self):
         graph = dyadic_random_graph(6, 0.5, seed=3)
