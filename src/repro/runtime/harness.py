@@ -568,10 +568,15 @@ def run_global(
         if batcher.samples_drawn == 0:
             run.write_manifest()
             return finish(None, complete=False)
-        world_set = batcher.result(partial_ok=True)
         n_drawn = batcher.samples_drawn
         effective_epsilon = _widened_epsilon(epsilon, delta, n_requested,
                                              n_drawn)
+        if finished:
+            # A resumed run whose decomposition already completed: its
+            # levels are the result, so no pool starts and nothing is
+            # pruned or searched again.
+            return finish(build_result(), complete=True)
+        world_set = batcher.result(partial_ok=True)
 
         # The executor (and its shared-memory sample segment) lives for
         # the compute stages only; the sampling stage above is
@@ -625,9 +630,6 @@ def run_global(
                 # The finished level supersedes any mid-peel snapshot.
                 store.clear_frontier()
                 run.write_manifest()
-
-        if finished:
-            return finish(build_result(), complete=True)
 
         def run_stage(stage_method: str, extra_hook=None):
             return global_truss_decomposition(

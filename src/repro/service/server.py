@@ -49,6 +49,7 @@ from repro.exceptions import (
 )
 from repro.runtime import Budget, FaultPlan, InterruptGuard, chain_hooks
 from repro.runtime.faults import _find_fault_plan
+from repro.runtime.harness import _graph_fingerprint
 from repro.runtime.progress import ProgressEvent
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker
@@ -113,6 +114,37 @@ class _FaultCarrier:
         pass
 
 
+class _GraphRecord:
+    """One cached graph and the values the service derives from it once.
+
+    ``fingerprint`` (the content identity index keys carry) is computed
+    when the graph is loaded. The full ``/stats`` payload is filled by
+    the first ``/stats`` request with deadline enough for the triangle
+    profile; a deadline-degraded answer is never kept. The graph cache
+    never re-reads a file, so neither value goes stale.
+    ``_graph_lock`` is the owning service's graph-cache lock.
+    """
+
+    def __init__(self, graph: "ProbabilisticGraph",
+                 lock: threading.Lock) -> None:
+        self.graph = graph
+        self.fingerprint = _graph_fingerprint(graph)
+        self._graph_lock = lock
+        self._stats: dict | None = None  # repro: guarded-by[self._graph_lock]
+
+    def cached_stats(self) -> dict | None:
+        with self._graph_lock:
+            return self._stats
+
+    def keep_stats(self, payload: dict) -> dict:
+        """Store the full ``/stats`` payload unless one is already kept;
+        returns the kept one."""
+        with self._graph_lock:
+            if self._stats is None:
+                self._stats = payload
+            return self._stats
+
+
 class TrussService:
     """The query service: dispatch, indexes, builds, and drain."""
 
@@ -144,6 +176,7 @@ class TrussService:
                 emit=self.emit_event, clock=clock,
                 memory_probe=config.extra.get("memory_probe"),
             )
+        # (spec, seed) -> _GraphRecord
         self._graphs: dict = {}  # repro: guarded-by[self._graph_lock]
         self._graph_lock = threading.Lock()
         self._network = None  # repro: guarded-by[self._graph_lock]
@@ -236,15 +269,22 @@ class TrussService:
 
     # ------------------------------------------------------------------
     # graphs
-    def _graph(self, spec: str) -> "ProbabilisticGraph":
+    def _graph(self, spec: str) -> _GraphRecord:
+        """The cached record of ``spec``, loading the graph on first use.
+
+        Concurrent first loads of one spec may each read the file, but
+        the first record stored wins and every caller gets it, so index
+        keys and builds always see one graph object.
+        """
         from repro.datasets import DATASET_NAMES, load_dataset
         from repro.exceptions import DatasetError
         from repro.graphs.io import read_edge_list, read_json_graph
 
         cache_key = (spec, self.config.seed)
         with self._graph_lock:
-            if cache_key in self._graphs:
-                return self._graphs[cache_key]
+            record = self._graphs.get(cache_key)
+        if record is not None:
+            return record
         if spec.lower() in DATASET_NAMES:
             graph = load_dataset(spec, seed=self.config.seed)
         else:
@@ -259,9 +299,9 @@ class TrussService:
                 graph = read_json_graph(path)
             else:
                 graph = read_edge_list(path)
+        record = _GraphRecord(graph, self._graph_lock)
         with self._graph_lock:
-            self._graphs[cache_key] = graph
-        return graph
+            return self._graphs.setdefault(cache_key, record)
 
     def _collaboration_network(self) -> "CollaborationNetwork":
         from repro.apps.team_formation import generate_collaboration_network
@@ -287,7 +327,7 @@ class TrussService:
         from repro.runtime import run_global, run_local, run_nucleus
 
         key = entry.key
-        graph = self._graph(key.graph)
+        graph = self._graph(key.graph).graph
         throttle = None
         if self.config.build_throttle > 0:
             pause = self.config.build_throttle
@@ -413,41 +453,40 @@ class TrussService:
             f"unknown endpoint {endpoint!r}; see docs/serving.md")
 
     def _handle_stats(self, params: dict, budget: Budget) -> tuple:
+        record = self._graph(_one(params, "graph", required=True))
+        cached = record.cached_stats()
+        if cached is not None:
+            return 200, dict(cached), {}
         from repro.datasets import dataset_statistics
 
-        graph = self._graph(_one(params, "graph", required=True))
-        payload: dict = dict(dataset_statistics(graph))
+        payload: dict = dict(dataset_statistics(record.graph))
         remaining = budget.remaining()
-        degraded = False
         if remaining is None or remaining > 0.25:
             from repro.core.stats import profile_graph
 
-            profile = profile_graph(graph)
+            profile = profile_graph(record.graph)
             payload.update({
                 "mean_degree": profile.mean_degree,
                 "expected_triangles": profile.expected_triangles,
                 "density": profile.density,
                 "pcc": profile.pcc,
                 "clustering": profile.clustering,
+                "degraded": False,
             })
-        else:
-            # Not enough deadline left for the triangle profile: serve
-            # the cheap statistics honestly marked partial.
-            degraded = True
-            self.emit("service-degraded", self._bump("degraded_served"),
-                      {"endpoint": "stats", "reason": "deadline"})
-        payload["degraded"] = degraded
-        if degraded:
-            payload["reason"] = "deadline: profile skipped"
+            return 200, dict(record.keep_stats(payload)), {}
+        # Not enough deadline left for the triangle profile: serve the
+        # cheap statistics honestly marked partial, and keep nothing.
+        self.emit("service-degraded", self._bump("degraded_served"),
+                  {"endpoint": "stats", "reason": "deadline"})
+        payload["degraded"] = True
+        payload["reason"] = "deadline: profile skipped"
         return 200, payload, {}
 
     def _index_key(self, kind: str, params: dict) -> IndexKey:
-        from repro.runtime.harness import _graph_fingerprint
         from repro.graphs.sampling import hoeffding_sample_size
 
         spec = _one(params, "graph", required=True)
-        graph = self._graph(spec)
-        fp = _graph_fingerprint(graph)
+        fp = self._graph(spec).fingerprint
         gamma = _float(params, "gamma", required=True)
         if not 0.0 <= gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0, 1], got {gamma}")

@@ -45,7 +45,9 @@ class IndexKey:
 
     ``graph`` is the CLI-style spec (dataset name or file path);
     ``graph_nodes``/``graph_edges``/``graph_crc`` fingerprint the actual
-    content so a changed file under the same path gets a fresh index.
+    content so a changed file under the same path gets a fresh index
+    (once a restarted server re-reads it: a running service loads each
+    graph once).
     ``rng_scheme`` names the determinism family (``"per-seed"``), the
     same tag the checkpoint manifests pin.
     """

@@ -329,3 +329,22 @@ class TestCheckpointSeedDiscipline:
         with pytest.raises(CheckpointError, match="int seed"):
             run_global(running_example(), 0.3, seed=None,
                        checkpoint_dir=tmp_path, workers=None)
+
+
+class TestFinishedResume:
+    def test_finished_resume_starts_no_pool(self, tmp_path):
+        # The stored levels are the result: returning them starts no
+        # executor, so detail carries no supervision stats.
+        from repro.datasets import load_dataset
+
+        graph = load_dataset("fruitfly", seed=5)
+        fresh = run_global(graph, 0.5, method="gbu", seed=5,
+                           checkpoint_dir=tmp_path, workers=2)
+        assert fresh.complete and "supervision" in fresh.detail
+        resumed = run_global(graph, 0.5, method="gbu", seed=5,
+                             checkpoint_dir=tmp_path, resume=True,
+                             workers=2)
+        assert resumed.complete and not resumed.degraded
+        assert "supervision" not in resumed.detail
+        assert (serialize_global_result(resumed.result)
+                == serialize_global_result(fresh.result))

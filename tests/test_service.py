@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 import urllib.error
@@ -692,6 +693,155 @@ class TestLiveServer:
                                 OSError)):
                 urllib.request.urlopen(
                     f"http://{host}:{port}/healthz", timeout=5)
+
+
+class TestGraphCache:
+    """Warm queries read the graph's fingerprint and ``/stats`` payload
+    from the cached graph record instead of recomputing them."""
+
+    #: Index tokens of the running example written to ``example.txt``
+    #: under the default seed, as earlier releases computed them: a
+    #: changed token would orphan every persisted index on warm restart.
+    PINNED_TOKENS = {
+        "local": "local-4bfac7747620868c",
+        "nucleus": "nucleus-fb0a5e0b88ae5455",
+        "global": "global-c644c5281da9c450",
+    }
+    QUERIES = {
+        "local": {"gamma": ["0.3"]},
+        "nucleus": {"gamma": ["0.3"]},
+        "global": {"gamma": ["0.3"], "epsilon": ["0.5"], "delta": ["0.5"],
+                   "samples": ["30"]},
+    }
+
+    @staticmethod
+    def _query(kind):
+        params = TestGraphCache.QUERIES[kind]
+        return f"/{kind}?graph=example.txt&" + "&".join(
+            f"{name}={values[0]}" for name, values in params.items())
+
+    def test_index_tokens_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(running_example(), "example.txt")
+        svc = TrussService(ServeConfig(state_dir=str(tmp_path / "state")))
+        for kind, token in self.PINNED_TOKENS.items():
+            key = svc._index_key(
+                kind, {"graph": ["example.txt"], **self.QUERIES[kind]})
+            assert key.token == token
+            assert (key.graph_nodes, key.graph_edges, key.graph_crc) == (
+                6, 11, 4239023355)
+
+    def test_warm_restart_serves_persisted_indexes_without_rebuild(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(running_example(), "example.txt")
+        built = {}
+        with live_service(tmp_path / "state") as svc:
+            for kind in self.PINNED_TOKENS:
+                code, body, _ = http_get(
+                    svc, self._query(kind) + "&wait=1&deadline=60")
+                assert code == 200 and body["degraded"] is False
+                built[kind] = body
+        rec = Recorder()
+        with live_service(tmp_path / "state", progress=rec) as svc:
+            for kind, token in self.PINNED_TOKENS.items():
+                assert svc.store.get(token).status == "ready"
+                code, body, _ = http_get(svc, self._query(kind))
+                assert code == 200
+                assert body == built[kind]
+                assert body["token"] == token
+            assert svc.builder.stats["builds"] == 0
+        assert not rec.find("service-build")
+
+    def test_cached_fingerprint_survives_every_build(self, tmp_path,
+                                                     monkeypatch):
+        from repro.runtime.harness import _graph_fingerprint
+
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(running_example(), "example.txt")
+        with live_service(tmp_path / "state") as svc:
+            for kind in self.PINNED_TOKENS:
+                code, _, _ = http_get(
+                    svc, self._query(kind) + "&wait=1&deadline=60")
+                assert code == 200
+                # No engine may mutate the cached graph under its
+                # cached fingerprint.
+                record = svc._graph("example.txt")
+                assert record.fingerprint == _graph_fingerprint(
+                    record.graph)
+
+    def test_stats_answer_is_cached_and_equals_a_fresh_profile(
+            self, tmp_path, example_path):
+        from repro.core.stats import profile_graph
+        from repro.datasets import dataset_statistics
+        from repro.graphs.io import read_edge_list
+
+        graph = read_edge_list(example_path)
+        profile = profile_graph(graph)
+        expected = dict(dataset_statistics(graph))
+        expected.update({
+            "mean_degree": profile.mean_degree,
+            "expected_triangles": profile.expected_triangles,
+            "density": profile.density,
+            "pcc": profile.pcc,
+            "clustering": profile.clustering,
+            "degraded": False,
+        })
+        expected = json.loads(json.dumps(expected, default=str))
+        rec = Recorder()
+        with live_service(tmp_path / "state", progress=rec) as svc:
+            spec = quote(str(example_path), safe="")
+            # A degraded answer before the first full one is not kept.
+            code, body, _ = http_get(
+                svc, f"/stats?graph={spec}&deadline=0.05")
+            assert code == 200 and body["degraded"] is True
+            code, first, _ = http_get(svc, f"/stats?graph={spec}")
+            assert code == 200 and first == expected
+            # After the first full answer even a tight deadline is
+            # served the cached, complete payload.
+            code, tight, _ = http_get(
+                svc, f"/stats?graph={spec}&deadline=0.05")
+            assert code == 200 and tight == expected
+            code, again, _ = http_get(svc, f"/stats?graph={spec}")
+            assert code == 200 and again == expected
+        assert len(rec.find("service-degraded")) == 1
+
+    def test_concurrent_first_loads_share_one_graph(
+            self, tmp_path, example_path, monkeypatch):
+        import repro.graphs.io as graph_io
+
+        real_read = graph_io.read_edge_list
+        gate = threading.Barrier(4)
+
+        def slow_read(path):
+            graph = real_read(path)
+            # Every thread has missed the cache before any stores.
+            gate.wait(timeout=10)
+            return graph
+
+        monkeypatch.setattr(graph_io, "read_edge_list", slow_read)
+        svc = TrussService(ServeConfig(state_dir=str(tmp_path / "state")))
+        records = []
+        lock = threading.Lock()
+
+        def load():
+            record = svc._graph(str(example_path))
+            with lock:
+                records.append(record)
+
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(records) == 4
+        assert len({id(r.graph) for r in records}) == 1
+        assert svc._graph(str(example_path)) is records[0]
 
 
 class TestServeCli:
