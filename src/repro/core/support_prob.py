@@ -7,9 +7,9 @@ contributes a triangle independently with probability
 ``q_w = p(w, u) * p(w, v)``, so ``sup(e)`` is Poisson-binomial over the
 ``q_w``. This module computes its PMF:
 
-* :func:`support_pmfs` — the O(k_e^2) dynamic program of Algorithm 2,
-  run on many equal-length factor rows at once (:func:`support_pmf` is
-  its one-row case);
+* :func:`support_pmf` — the O(k_e^2) dynamic program of Algorithm 2,
+  and :func:`support_pmfs`, the same DP run on many equal-length factor
+  rows at once (bit-identical per row);
 * :class:`SupportProbability` — a live PMF that supports the O(k_e)
   *deconvolution* update of Eq. (8) when a triangle is destroyed by an
   edge removal (the key to the efficient local decomposition);
@@ -33,7 +33,6 @@ __all__ = [
     "triangle_probabilities",
     "support_pmf",
     "support_pmfs",
-    "support_pmf_reference",
     "support_tail",
     "support_pmf_bruteforce",
     "SupportProbability",
@@ -62,35 +61,28 @@ def triangle_probabilities(
     }
 
 
-def support_pmf_reference(qs: Sequence[float]) -> list[float]:
-    """Pure-Python rolling-array DP — differential reference.
-
-    Same recurrence, element at a time. IEEE addition and
-    multiplication make :func:`support_pmfs`'s vectorized convolution
-    step bit-identical to this loop (each output element is the sum of
-    the same two products), so the two agree exactly, not just within
-    tolerance — the property the differential tests assert.
-    """
-    f = [1.0]
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
-        nxt = [0.0] * (len(f) + 1)
-        for i, mass in enumerate(f):
-            nxt[i] += (1.0 - q) * mass
-            nxt[i + 1] += q * mass
-        f = nxt
-    return f
-
-
 def support_pmf(qs: Sequence[float]) -> list[float]:
     """Return the Poisson-binomial PMF of the number of existing triangles.
 
     ``qs`` are the per-triangle probabilities ``q_w``; the result ``f``
     has length ``len(qs) + 1`` with ``f[i] = Pr[sup(e) = i | e exists]``.
-    This is the one-row case of :func:`support_pmfs`.
+    Rolling-array DP, one factor at a time:
+    ``f'(i) = q f(i-1) + (1 - q) f(i)``. Every term is non-negative, so
+    each element is the IEEE sum of the same two products that
+    :func:`support_pmfs`'s vectorized step adds (addition commutes
+    exactly), and the result is bit-identical to ``support_pmfs([qs])[0]``
+    without paying for numpy on one row.
     """
-    return support_pmfs([list(qs)])[0]
+    f = [1.0]
+    for q in qs:
+        q = float(q)
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
+        p = 1.0 - q
+        f = ([p * f[0]]
+             + [q * a + p * b for a, b in zip(f, f[1:])]
+             + [q * f[-1]])
+    return f
 
 
 def support_pmfs(rows: Sequence[Sequence[float]]) -> list[list[float]]:
@@ -102,8 +94,8 @@ def support_pmfs(rows: Sequence[Sequence[float]]) -> list[list[float]]:
     ``f(i, l) = q_l f(i-1, l-1) + (1 - q_l) f(i, l-1)`` becomes two
     shifted whole-matrix updates. The batch only runs *across* rows:
     every element goes through the same IEEE operations as
-    :func:`support_pmf_reference` (the sum of the same two products), so
-    each row is bit-identical to it.
+    :func:`support_pmf` (the sum of the same two products), so each row
+    is bit-identical to it.
     """
     import numpy as np
 
@@ -289,11 +281,15 @@ class SupportProbability:
             return 1
         # sigma(t) is non-increasing in t, so scanning t from the top the
         # first passing tail is the largest; t = 0 always passes because
-        # sigma(0) * p(e) = p(e) >= gamma was checked above.
+        # sigma(0) * p(e) = p(e) >= gamma was checked above. The tail is
+        # not clamped with min(1.0, running): once running >= 1,
+        # running * p(e) >= p(e) >= threshold (rounding is monotone), so
+        # the step passes exactly when the clamped test would.
+        pmf = self._pmf
         running = 0.0
-        for t in range(len(self._pmf) - 1, 0, -1):
-            running += self._pmf[t]
-            if min(1.0, running) * edge_probability >= threshold:
+        for t in range(len(pmf) - 1, 0, -1):
+            running += pmf[t]
+            if running * edge_probability >= threshold:
                 return t + 2
         return 2
 
@@ -325,7 +321,7 @@ class SupportProbability:
         """
         if not 0.0 <= q <= 1.0:
             raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
-        if self.max_support == 0:
+        if len(self._pmf) == 1:
             raise ParameterError("no triangles left to remove")
         if self._qs is not None:
             self._drop_factor(q)
@@ -341,40 +337,41 @@ class SupportProbability:
                 return
         old = self._pmf
         n = len(old) - 1
-        new = [0.0] * n
         if q >= 1.0 - 1e-15:
             # Certain triangle: sup_old = sup_new + 1, so shift left.
-            for i in range(n):
-                new[i] = old[i + 1]
-        elif q <= 0.0:
+            self._pmf = old[1:]
+            return
+        if q <= 0.0:
             # Impossible triangle contributed nothing: drop the top cell.
-            new = old[:n]
-        elif q < 0.5:
+            self._pmf = old[:n]
+            return
+        # Negative values above this floor are floating-point dust and
+        # clamp to 0; genuine mass is never negative.
+        floor = -_EPS * len(old)
+        new = [0.0] * n
+        if q < 0.5:
             # Forward (Eq. 8): f_new(i) = (f_old(i) - q f_new(i-1)) / (1-q).
             prev = 0.0
             inv = 1.0 / (1.0 - q)
             for i in range(n):
-                value = (old[i] - q * prev) * inv
-                # Clamp floating-point dust; genuine mass is never negative.
-                if value < 0.0:
-                    value = 0.0 if value > -_EPS * len(old) else value
-                prev = value
-                new[i] = value
+                prev = (old[i] - q * prev) * inv
+                if 0.0 > prev > floor:
+                    prev = 0.0
+                new[i] = prev
         else:
             # Backward: f_new(i-1) = (f_old(i) - (1-q) f_new(i)) / q,
             # seeded by f_new(n-1) = f_old(n) / q.
             inv = 1.0 / q
             rest = 1.0 - q
             prev = old[n] * inv
-            if prev < 0.0 and prev > -_EPS * len(old):
+            if 0.0 > prev > floor:
                 prev = 0.0
             new[n - 1] = prev
             for i in range(n - 1, 0, -1):
-                value = (old[i] - rest * prev) * inv
-                if value < 0.0:
-                    value = 0.0 if value > -_EPS * len(old) else value
-                prev = value
-                new[i - 1] = value
+                prev = (old[i] - rest * prev) * inv
+                if 0.0 > prev > floor:
+                    prev = 0.0
+                new[i - 1] = prev
         self._pmf = new
 
     def _drop_factor(self, q: float) -> None:

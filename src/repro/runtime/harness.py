@@ -133,7 +133,7 @@ class _Run:
     checkpoint path attached and propagates.
     """
 
-    def __init__(self, kind: str, params: dict, *, budget, progress,
+    def __init__(self, kind: str, params: dict, *, graph, budget, progress,
                  checkpoint_dir, resume: bool, on_corrupt: str,
                  seed=None):
         self.kind = kind
@@ -141,6 +141,10 @@ class _Run:
         self.budget = budget
         self.progress = progress
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        if self.store is not None:
+            # Only the manifest reads the fingerprint, and it costs a
+            # sort of every edge: a store-less run skips it.
+            params["graph"] = _graph_fingerprint(graph)
         if (self.store is not None and seed is not None
                 and not isinstance(seed, int)):
             raise CheckpointError(
@@ -424,7 +428,6 @@ def run_global(
         "batch_size": batch_size,
         "max_k": max_k,
         "max_states": max_states,
-        "graph": _graph_fingerprint(graph),
         # One determinism family: serial GBU uses the same per-seed RNG
         # streams the parallel mode fans out, so results are
         # byte-identical for workers in {None, 1, 2, 4, ...}. The worker
@@ -432,8 +435,9 @@ def run_global(
         # compatible run. (Pre-unification "sequential" checkpoints are
         # a different family and correctly refuse to resume.)
         "rng_scheme": "per-seed",
-    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
-        resume=resume, on_corrupt=on_corrupt, seed=seed)
+    }, graph=graph, budget=budget, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt,
+        seed=seed)
     store = run.store
 
     rng = np.random.default_rng(seed)
@@ -445,19 +449,22 @@ def run_global(
     manifest = run.manifest
     if manifest is not None:
         sampling_state = manifest["sampling"]
-        for index in range(sampling_state["batches_drawn"]):
-            batcher.load_batch(store.load_sample_batch(index))
+        decomp_state = manifest.get("decomp") or {}
+        finished = bool(decomp_state.get("finished"))
+        if not finished:
+            # A finished run's result needs only the sample counts,
+            # which the manifest holds; the batches stay on disk.
+            for index in range(sampling_state["batches_drawn"]):
+                batcher.load_batch(store.load_sample_batch(index))
         sampling_stopped_early = sampling_state.get("stopped_early")
         if sampling_stopped_early:
             run.note(sampling_stopped_early)
         rng.bit_generator.state = manifest["rng_state"]
-        decomp_state = manifest.get("decomp") or {}
         for k in decomp_state.get("levels", []):
             completed[int(k)] = [
                 graph.edge_subgraph(truss_edges)
                 for truss_edges in store.load_level(int(k))
             ]
-        finished = bool(decomp_state.get("finished"))
         if decomp_state.get("fallback"):
             run.fallback = decomp_state["fallback"]
 
@@ -494,15 +501,16 @@ def run_global(
     # Where the samples went under memory pressure, if anywhere.
     spill_info: dict = {}
 
-    def finish(result, complete: bool) -> PartialResult:
+    def finish(result, complete: bool, drawn=None) -> PartialResult:
         detail = {}
         if run.executor is not None:
             detail["supervision"] = run.executor.supervision_stats()
         detail.update(spill_info)
+        batches, samples = drawn or (batcher.batches_drawn,
+                                     batcher.samples_drawn)
         return run.finish(
             result, complete, epsilon=epsilon, delta=delta,
-            n_requested=n_requested, n_drawn=batcher.samples_drawn,
-            batches_drawn=batcher.batches_drawn,
+            n_requested=n_requested, n_drawn=samples, batches_drawn=batches,
             completed_k=max(completed, default=None), detail=detail,
         )
 
@@ -514,6 +522,16 @@ def run_global(
         )
 
     with run:
+        if finished:
+            # A resumed run whose decomposition already completed: its
+            # levels are the result, so no sample batch is read, no pool
+            # starts and nothing is pruned or searched again.
+            n_drawn = sampling_state["samples_drawn"]
+            effective_epsilon = _widened_epsilon(epsilon, delta, n_requested,
+                                                 n_drawn)
+            return finish(build_result(), complete=True,
+                          drawn=(sampling_state["batches_drawn"], n_drawn))
+
         # -- stage 1: sampling ----------------------------------------
         run.stage = "sampling"
         spill_pending = False
@@ -571,11 +589,6 @@ def run_global(
         n_drawn = batcher.samples_drawn
         effective_epsilon = _widened_epsilon(epsilon, delta, n_requested,
                                              n_drawn)
-        if finished:
-            # A resumed run whose decomposition already completed: its
-            # levels are the result, so no pool starts and nothing is
-            # pruned or searched again.
-            return finish(build_result(), complete=True)
         world_set = batcher.result(partial_ok=True)
 
         # The executor (and its shared-memory sample segment) lives for
@@ -765,13 +778,12 @@ def run_nucleus(
         "s": s,
         "gamma": gamma,
         "method": method,
-        "graph": _graph_fingerprint(graph),
         # Apex factors fold in natural node order. Manifests from runs
         # that folded them in another order ("adjacency": serial local
         # runs; "canonical": (type name, str) order) must not resume.
         "pmf_order": "natural",
-    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
-        resume=resume, on_corrupt=on_corrupt)
+    }, graph=graph, budget=budget, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt)
     run.stage = "peeling"
 
     def finish(scores, complete: bool) -> PartialResult:
@@ -850,9 +862,9 @@ def run_reliability(
         "batch_size": batch_size,
         "seed": seed,
         "delta": delta,
-        "graph": _graph_fingerprint(graph),
-    }, budget=budget, progress=progress, checkpoint_dir=checkpoint_dir,
-        resume=resume, on_corrupt=on_corrupt, seed=seed)
+    }, graph=graph, budget=budget, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt,
+        seed=seed)
 
     rng = np.random.default_rng(seed)
     batcher = SampleBatcher(graph, n_samples, batch_size, seed=rng)

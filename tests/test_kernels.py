@@ -2,8 +2,8 @@
 
 Every kernel in :mod:`repro.core.kernels` has a pure-numpy boolean
 counterpart (``unpacked.sum(axis=0)`` and friends) or a pure-Python
-reference (``classify_worlds``, ``edge_supports_reference``,
-``support_pmf_reference``). These tests pin the equivalences the hot
+reference (``classify_worlds``, ``edge_supports_reference``, the
+one-row ``support_pmf`` loop). These tests pin the equivalences the hot
 paths rely on:
 
 * integer kernels are *exactly* equal to the boolean reference,
@@ -21,9 +21,8 @@ paths rely on:
   reference row for row;
 * ``classify_worlds_packed`` equals ``classify_worlds`` for every k,
   for RAM-resident and spilled (memmapped) sample sets alike;
-* the float kernels (``support_pmf``, the row-batched
-  ``support_pmfs``, oracle estimates) are *bit-identical* to their
-  references, not just close.
+* the float kernels (the row-batched ``support_pmfs``, oracle
+  estimates) are *bit-identical* to their references, not just close.
 
 The peak-allocation regression test at the bottom guards the point of
 the whole module: classifying a spilled sample set must not
@@ -46,11 +45,7 @@ from repro.core.global_truss import (
     classify_worlds,
     world_is_connected_ktruss,
 )
-from repro.core.support_prob import (
-    support_pmf,
-    support_pmf_reference,
-    support_pmfs,
-)
+from repro.core.support_prob import support_pmf, support_pmfs
 from repro.exceptions import ParameterError
 from repro.truss.support import edge_supports, edge_supports_reference
 
@@ -629,13 +624,41 @@ class TestSupportPmfKernel:
     @given(qs=q_lists)
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_reference(self, qs):
-        got = support_pmf(qs)
-        want = support_pmf_reference(qs)
+        got = support_pmfs([qs])[0]
+        want = support_pmf(qs)
         assert len(got) == len(want)
         # Bitwise equality, not allclose: IEEE addition commutativity
         # makes the vectorised accumulation exactly the scalar one.
         for a, b in zip(got, want):
-            assert a == b
+            assert a.hex() == b.hex()
+
+    def test_one_row_loop_is_bitwise_the_batched_row(self):
+        # Random rows mixing exact 0 and 1, subnormal and tiny factors
+        # with uniform ones: the numpy-free one-row DP must reproduce
+        # the batched DP's row bit for bit (signs of zero included).
+        gen = np.random.default_rng(2016)
+        specials = [0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3,
+                    1e-300, 1e-17, 1.0 - 1e-16, 0.5]
+        for _ in range(400):
+            width = int(gen.integers(0, 24))
+            row = [
+                specials[gen.integers(len(specials))]
+                if gen.random() < 0.4 else float(gen.random())
+                for _ in range(width)
+            ]
+            got = support_pmf(row)
+            want = support_pmfs([row])[0]
+            assert [x.hex() for x in got] == [x.hex() for x in want], row
+
+    @pytest.mark.parametrize("row", [
+        [0.5, 1.5], [0.5, 1.0 + 1e-12], [-0.1], [0.3, float("nan")],
+    ])
+    def test_one_row_errors_match_the_batched_dp(self, row):
+        with pytest.raises(ParameterError) as batched:
+            support_pmfs([row])
+        with pytest.raises(ParameterError) as single:
+            support_pmf(row)
+        assert str(single.value) == str(batched.value)
 
     @given(rows=st.integers(0, 30).flatmap(lambda width: st.lists(
         st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
@@ -646,7 +669,7 @@ class TestSupportPmfKernel:
     def test_batched_rows_bit_identical_to_reference(self, rows):
         # Exact list equality: batching across rows must leave each
         # row's IEEE operation sequence untouched.
-        assert support_pmfs(rows) == [support_pmf_reference(r) for r in rows]
+        assert support_pmfs(rows) == [support_pmf(r) for r in rows]
 
     def test_zero_width_rows(self):
         assert support_pmfs([[], [], []]) == [[1.0], [1.0], [1.0]]

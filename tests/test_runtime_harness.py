@@ -348,3 +348,66 @@ class TestFinishedResume:
         assert "supervision" not in resumed.detail
         assert (serialize_global_result(resumed.result)
                 == serialize_global_result(fresh.result))
+
+    @pytest.mark.parametrize("n_samples", [None, 130])
+    def test_finished_resume_reads_no_sample_batch(self, tmp_path,
+                                                   monkeypatch, n_samples):
+        # The manifest holds the sample counts, so returning the stored
+        # levels loads no batch; counts, epsilon and bytes are the fresh
+        # run's. 130 samples leave a short last batch.
+        from repro.runtime.checkpoint import CheckpointStore
+
+        graph = gnp_graph(14, 0.45, seed=2)
+        fresh = run_global(graph, 0.4, method="gbu", seed=3,
+                           n_samples=n_samples, checkpoint_dir=tmp_path)
+        assert fresh.complete
+
+        def refuse(self, index):
+            raise AssertionError(f"sample batch {index} was loaded")
+
+        monkeypatch.setattr(CheckpointStore, "load_sample_batch", refuse)
+        resumed = run_global(graph, 0.4, method="gbu", seed=3,
+                             n_samples=n_samples, checkpoint_dir=tmp_path,
+                             resume=True)
+        assert resumed.complete and not resumed.degraded
+        for name in ("n_samples_drawn", "n_samples_requested",
+                     "requested_epsilon", "effective_epsilon",
+                     "completed_k"):
+            assert getattr(resumed, name) == getattr(fresh, name), name
+        assert resumed.result.n_samples == fresh.result.n_samples
+        assert resumed.result.epsilon == fresh.result.epsilon
+        assert (serialize_global_result(resumed.result)
+                == serialize_global_result(fresh.result))
+
+
+class TestFingerprintOnlyWithStore:
+    """The graph fingerprint sorts every edge and only the manifest
+    reads it, so a run without a checkpoint store never computes it."""
+
+    @pytest.fixture
+    def no_fingerprint(self, monkeypatch):
+        import repro.runtime.harness as harness
+
+        def refuse(graph):
+            raise AssertionError("graph fingerprint computed")
+
+        monkeypatch.setattr(harness, "_graph_fingerprint", refuse)
+
+    def test_storeless_runs_skip_it(self, no_fingerprint):
+        from repro.runtime import run_nucleus
+
+        graph = gnp_graph(14, 0.45, seed=2)
+        assert run_global(graph, 0.4, method="gbu", seed=3,
+                          n_samples=60).complete
+        assert run_local(graph, 0.4).complete
+        assert run_nucleus(graph, 3, 4, 0.4).complete
+        assert run_reliability(graph, n_samples=60, seed=3).complete
+
+    def test_checkpointed_runs_record_it(self, tmp_path):
+        from repro.runtime.checkpoint import CheckpointStore
+        from repro.runtime.harness import _graph_fingerprint
+
+        graph = gnp_graph(14, 0.45, seed=2)
+        run_local(graph, 0.4, checkpoint_dir=tmp_path)
+        manifest = CheckpointStore(tmp_path).load_manifest()
+        assert manifest["params"]["graph"] == _graph_fingerprint(graph)

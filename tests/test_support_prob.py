@@ -249,3 +249,125 @@ class TestLevel:
         sp = SupportProbability([0.5])
         with pytest.raises(ParameterError):
             sp.level(gamma=1.5, edge_probability=0.5)
+
+
+class _EarlierBodies(SupportProbability):
+    """``level`` and ``remove_triangle`` exactly as they read before
+    the lean rewrite (min() per tail step, per-value clamp floor, index
+    loops for the shift branches, the numpy DP for a rebuild): the
+    differential reference the current bodies must match bit for bit."""
+
+    __slots__ = ()
+
+    def level(self, gamma, edge_probability):
+        if not 0.0 <= gamma <= 1.0:
+            raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
+        threshold = gamma * (1.0 - 1e-9)
+        if edge_probability < threshold:
+            return 1
+        running = 0.0
+        for t in range(len(self._pmf) - 1, 0, -1):
+            running += self._pmf[t]
+            if min(1.0, running) * edge_probability >= threshold:
+                return t + 2
+        return 2
+
+    def remove_triangle(self, q):
+        from repro.core.support_prob import _EPS, support_pmfs
+
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(
+                f"triangle probability must be in [0, 1], got {q}")
+        if self.max_support == 0:
+            raise ParameterError("no triangles left to remove")
+        if self._qs is not None:
+            self._drop_factor(q)
+            spread = abs(1.0 - 2.0 * q)
+            amplification = 1.0 / spread if spread > 1e-6 else 1e6
+            self._err = self._err * amplification + 1e-15
+            if self._err > 1e-10:
+                self._pmf = support_pmfs([list(self._qs)])[0]
+                self._err = 1e-16
+                return
+        old = self._pmf
+        n = len(old) - 1
+        new = [0.0] * n
+        if q >= 1.0 - 1e-15:
+            for i in range(n):
+                new[i] = old[i + 1]
+        elif q <= 0.0:
+            new = old[:n]
+        elif q < 0.5:
+            prev = 0.0
+            inv = 1.0 / (1.0 - q)
+            for i in range(n):
+                value = (old[i] - q * prev) * inv
+                if value < 0.0:
+                    value = 0.0 if value > -_EPS * len(old) else value
+                prev = value
+                new[i] = value
+        else:
+            inv = 1.0 / q
+            rest = 1.0 - q
+            prev = old[n] * inv
+            if prev < 0.0 and prev > -_EPS * len(old):
+                prev = 0.0
+            new[n - 1] = prev
+            for i in range(n - 1, 0, -1):
+                value = (old[i] - rest * prev) * inv
+                if value < 0.0:
+                    value = 0.0 if value > -_EPS * len(old) else value
+                prev = value
+                new[i - 1] = value
+        self._pmf = new
+
+
+def _bits(values):
+    return None if values is None else [float(x).hex() for x in values]
+
+
+class TestLeanBodiesMatchEarlierBodies:
+    SPECIAL = (0.0, 0.5, 1.0, 1.0 - 1e-16)
+    TINY = (5e-324, 1e-310, 1e-300, 1e-17)
+    LEVEL_ARGS = ((0.0, 0.0), (0.3, 0.9), (0.5, 0.5), (0.7, 1.0),
+                  (1.0, 1.0), (0.99, 0.995), (1e-12, 1e-300))
+
+    def _factor(self, rng):
+        pick = rng.random()
+        if pick < 0.3:
+            return rng.choice(self.SPECIAL)
+        if pick < 0.45:
+            return rng.choice(self.TINY)
+        return rng.random()
+
+    def test_random_removal_sequences(self):
+        import random
+
+        rng = random.Random(22)
+        for case in range(20_000):
+            qs = [self._factor(rng) for _ in range(rng.randint(1, 9))]
+            lean = SupportProbability(qs)
+            if case % 5 == 0:
+                # Untracked factors: no rebuild safety net.
+                lean = SupportProbability.from_pmf(lean.pmf)
+                earlier = _EarlierBodies.from_pmf(lean.pmf)
+            else:
+                earlier = _EarlierBodies.from_factors(qs, lean.pmf)
+            order = list(qs)
+            rng.shuffle(order)
+            for q in order[:rng.randint(1, len(order))]:
+                lean.remove_triangle(q)
+                earlier.remove_triangle(q)
+                assert _bits(lean._pmf) == _bits(earlier._pmf), (qs, q)
+                assert _bits(lean._qs) == _bits(earlier._qs), (qs, q)
+                assert lean._err == earlier._err, (qs, q)
+                for gamma, prob in self.LEVEL_ARGS:
+                    assert (lean.level(gamma, prob)
+                            == earlier.level(gamma, prob)), (qs, gamma, prob)
+
+    def test_removing_from_an_empty_pmf_raises_alike(self):
+        for cls in (SupportProbability, _EarlierBodies):
+            sp = cls.from_factors([0.5], [0.5, 0.5])
+            sp.remove_triangle(0.5)
+            with pytest.raises(ParameterError, match="no triangles left"):
+                sp.remove_triangle(0.5)
