@@ -164,9 +164,10 @@ class TestMaxTrussness:
 
 
 def structural_peel_orders():
-    """``list(result.items())`` of the four structural bucket-queue
-    peels on a string-node fruitfly subgraph, whose set iteration order
-    changes with ``PYTHONHASHSEED``."""
+    """``list(result.items())`` of the structural bucket-queue peels
+    ((2, 3) and (3, 4) nucleus among them) on a string-node fruitfly
+    subgraph, whose set iteration order changes with
+    ``PYTHONHASHSEED``."""
     from repro.core.pcore import eta_core_decomposition
     from repro.datasets.registry import load_dataset
     from repro.truss.kcore import core_decomposition
@@ -182,6 +183,8 @@ def structural_peel_orders():
         "core": list(core_decomposition(graph).items()),
         "eta-core": list(eta_core_decomposition(graph, 0.5).items()),
         "nucleus": list(structural_nucleus_decomposition(graph).items()),
+        "nucleus-34": list(
+            structural_nucleus_decomposition(graph, 3, 4).items()),
     }
 
 
