@@ -70,13 +70,18 @@ def clique_key(nodes: Collection[Node]) -> Clique:
 
 
 def apex_candidates(graph: ProbabilisticGraph, nodes: Sequence[Node]) -> set:
-    """Vertices adjacent to *every* node of ``nodes`` (the s-clique apexes)."""
+    """Vertices adjacent to *every* node of ``nodes`` (the s-clique apexes).
+
+    Intersects the neighbour maps' key views, which builds no temporary
+    set per node; no node is its own neighbour, so none of ``nodes``
+    survives. Every node must be in the graph (``KeyError`` otherwise).
+    """
+    adj = graph.adjacency()
     it = iter(nodes)
-    common = set(graph.neighbors(next(it)))
+    common = adj[next(it)].keys()
     for v in it:
-        common.intersection_update(graph.neighbors(v))
-    common.difference_update(nodes)
-    return common
+        common = common & adj[v].keys()
+    return set(common)
 
 
 def enumerate_r_cliques(graph: ProbabilisticGraph, r: int) -> list[Clique]:
