@@ -7,7 +7,8 @@ Subcommands
 * ``repro local GRAPH --gamma G`` — local (k, gamma)-truss decomposition.
 * ``repro global GRAPH --gamma G [--method gbu|gtd]`` — global trusses.
 * ``repro nucleus GRAPH --gamma G [--r 3 --s 4]`` — probabilistic
-  (r, s)-nucleus decomposition; ``(2, 3)`` coincides with ``local``.
+  (r, s)-nucleus decomposition; ``(2, 3)`` coincides with ``local`` and
+  ``(1, 2)`` is the (k, eta)-core with ``eta = gamma``, offset by 2.
 * ``repro team --keywords data algorithm --gamma G`` — the Section 6.5
   team-formation case study on the synthetic collaboration network.
 * ``repro lint [PATHS...]`` — run the reprolint static invariant
@@ -641,12 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "nucleus",
         help="probabilistic (r, s)-nucleus decomposition "
-             "((2,3) = truss oracle, (3,4) = triangles in 4-cliques)",
+             "((1,2) = (k, eta)-core, (2,3) = truss oracle, "
+             "(3,4) = triangles in 4-cliques)",
     )
     p.add_argument("graph", help="dataset name or graph file")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--r", type=int, default=3, dest="r",
-                   help="clique size being scored (2 or 3; default 3)")
+                   help="clique size being scored (1, 2 or 3; default 3)")
     p.add_argument("--s", type=int, default=4, dest="s",
                    help="supporting clique size (must be r + 1; default 4)")
     p.add_argument("--method", choices=["dp", "baseline"], default="dp")

@@ -4,9 +4,9 @@ Generalises the local (k, gamma)-truss decomposition of
 :mod:`repro.core.local` from edges-supported-by-triangles to
 r-cliques-supported-by-s-cliques, following Esfahani et al.'s
 probabilistic nucleus semantics. Restricted to ``s = r + 1``
-(``(2, 3)`` and ``(3, 4)``), every s-clique through an r-clique ``R``
-is ``R`` plus one *apex* vertex ``x``, and the edges it adds —
-``{(x, y) : y in R}`` — are disjoint across apexes. Conditioned on
+(``(1, 2)``, ``(2, 3)`` and ``(3, 4)``), every s-clique through an
+r-clique ``R`` is ``R`` plus one *apex* vertex ``x``, and the edges it
+adds — ``{(x, y) : y in R}`` — are disjoint across apexes. Conditioned on
 ``R`` existing, the supports are therefore independent Bernoulli
 trials with success probability
 
@@ -29,8 +29,10 @@ with ``sup_C(R)`` counting only s-cliques whose r-subcliques all lie in
 probability of Eq. 5 and ``Pr[R exists]`` to ``p(e)``, so this module
 is also the engine behind
 :func:`~repro.core.local.local_truss_decomposition`, whose
-``trussness`` map is the ``(2, 3)`` score dict. The truss-style
-numbering ``k = support threshold + 2`` is kept for every (r, s).
+``trussness`` map is the ``(2, 3)`` score dict. Likewise ``(1, 2)``
+(``Pr[R] = 1``, ``q_x = p(v, x)``) is the (k, eta)-core with
+``eta = gamma``, offset by 2. The truss-style numbering
+``k = support threshold + 2`` is kept for every (r, s).
 
 The peel is id-indexed, in the manner of PKT's edge ids and triangle
 arrays: a cell's id is its position in
@@ -236,7 +238,8 @@ class NucleusResult:
         For ``r = 2`` these are the surviving edges themselves; for
         ``r = 3`` the union of the triangles' edges — the shape the
         containment-monotonicity property ((3,4) edges are a subset of
-        (2,3) edges at matching thresholds) is stated over.
+        (2,3) edges at matching thresholds) is stated over. For
+        ``r = 1`` a cell holds no edge, so the list is empty.
         """
         if k not in self._edges_cache:
             edges = {pair for cell in self.nucleus_cliques(k)
@@ -265,7 +268,9 @@ def nucleus_decomposition(
     (Eq. 8 deconvolution for ``method="dp"``, full O(k^2) recompute for
     ``method="baseline"``). This is the one peel engine of the package:
     :func:`~repro.core.local.local_truss_decomposition` is its
-    ``(2, 3)`` instance. The initial support PMFs are computed serially
+    ``(2, 3)`` instance and
+    :func:`~repro.core.pcore.eta_core_decomposition` its ``(1, 2)``
+    instance. The initial support PMFs are computed serially
     in this process, one batched
     :func:`~repro.core.support_prob.support_pmfs` call per apex count.
 
@@ -274,8 +279,9 @@ def nucleus_decomposition(
     graph:
         Input probabilistic graph (not modified).
     r, s:
-        The nucleus family: ``(2, 3)`` (edges / triangles — the local
-        truss decomposition) or ``(3, 4)`` (triangles / 4-cliques).
+        The nucleus family: ``(1, 2)`` (nodes / edges — the
+        (k, eta)-core), ``(2, 3)`` (edges / triangles — the local truss
+        decomposition) or ``(3, 4)`` (triangles / 4-cliques).
     gamma:
         Threshold in [0, 1].
     method:

@@ -10,7 +10,8 @@ Bernoulli factors are the incident edges themselves.
 The decomposition peels nodes by *eta-degree* (the largest k with
 ``Pr[deg(v) >= k] >= eta``), mirroring Batagelj–Zaversnik; the resulting
 core number ``kappa(v)`` is the largest k such that v belongs to the
-(k, eta)-core.
+(k, eta)-core. The peel is the ``(1, 2)`` instance of
+:mod:`repro.core.nucleus`; :class:`EtaDegree` is one node's form of it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections.abc import Hashable
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
+from repro.core.nucleus import nucleus_decomposition
 from repro.core.support_prob import SupportProbability
 
 __all__ = [
@@ -81,51 +83,15 @@ def eta_core_decomposition(
 ) -> dict[Node, int]:
     """Return the (k, eta)-core number ``kappa(v)`` of every node.
 
-    Peeling with a bucket queue: repeatedly remove a node of minimum
-    eta-degree, deconvolving its edges out of its neighbours' degree
-    PMFs. ``kappa(v)`` is the running maximum of eta-degrees at removal,
-    exactly as in deterministic core decomposition.
+    The (1, 2)-nucleus score minus 2: a cell is a node, its apexes are
+    its neighbours, ``Pr[R] = 1`` and the apex factor is ``p(v, x)``.
+    As at every engine level, a tail within a relative 1e-9 of ``eta``
+    passes.
     """
     if not 0.0 < eta <= 1.0:
         raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    degrees = {u: EtaDegree.from_node(graph, u) for u in graph.nodes()}
-    levels = {u: d.eta_degree(eta) for u, d in degrees.items()}
-    if not levels:
-        return {}
-
-    top = max(levels.values())
-    # Insertion-ordered dict buckets, not sets: the pop order, and with
-    # it the order of the result, does not depend on PYTHONHASHSEED.
-    buckets: list[dict[Node, None]] = [{} for _ in range(top + 1)]
-    for u, lvl in levels.items():
-        buckets[lvl][u] = None
-
-    alive = dict(levels)
-    core: dict[Node, int] = {}
-    cursor = 0
-    k = 0
-    remaining = graph.copy()
-    for _ in range(len(levels)):
-        while not buckets[cursor]:
-            cursor += 1
-        u, _ = buckets[cursor].popitem()
-        del alive[u]
-        k = max(k, cursor)
-        core[u] = k
-        for v in list(remaining.neighbors(u)):
-            if v not in alive:
-                continue
-            degrees[v].remove_incident_edge(remaining.probability(u, v))
-            new_level = degrees[v].eta_degree(eta)
-            old_level = alive[v]
-            if new_level < old_level:
-                del buckets[old_level][v]
-                alive[v] = new_level
-                buckets[new_level][v] = None
-                if new_level < cursor:
-                    cursor = new_level
-        remaining.remove_node(u)
-    return core
+    result = nucleus_decomposition(graph, 1, 2, eta)
+    return {cell[0]: score - 2 for cell, score in result.scores.items()}
 
 
 def eta_core_subgraph(

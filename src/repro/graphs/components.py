@@ -76,13 +76,14 @@ def largest_connected_component(graph: ProbabilisticGraph) -> ProbabilisticGraph
 
 def edge_connected_components(
     graph: ProbabilisticGraph, edges: Iterable[Edge]
-) -> list[set[Edge]]:
+) -> list[dict[Edge, None]]:
     """Group ``edges`` of ``graph`` into connected clusters.
 
     Two edges are in the same cluster iff they are connected through the
     subgraph formed by ``edges`` alone. This is the post-processing step
     of Theorem 2: piecing edges of equal-or-higher trussness into maximal
-    connected trusses.
+    connected trusses. Each cluster is an ``{edge key: None}`` dict in
+    BFS order from its first input edge: no order follows PYTHONHASHSEED.
     """
     canonical = [edge_key(u, v) for u, v in edges]
     incident: dict[Node, list[Edge]] = {}
@@ -90,14 +91,12 @@ def edge_connected_components(
         incident.setdefault(e[0], []).append(e)
         incident.setdefault(e[1], []).append(e)
 
-    clusters: list[set[Edge]] = []
+    clusters: list[dict[Edge, None]] = []
     unvisited = set(canonical)
-    # Seeds follow the input order, not set order, so the cluster order
-    # does not depend on PYTHONHASHSEED.
     for seed in canonical:
         if seed not in unvisited:
             continue
-        cluster = {seed}
+        cluster = {seed: None}
         unvisited.discard(seed)
         queue = deque([seed])
         while queue:
@@ -106,7 +105,7 @@ def edge_connected_components(
                 for e in incident[node]:
                     if e in unvisited:
                         unvisited.discard(e)
-                        cluster.add(e)
+                        cluster[e] = None
                         queue.append(e)
         clusters.append(cluster)
     return clusters

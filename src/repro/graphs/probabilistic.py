@@ -273,26 +273,27 @@ class ProbabilisticGraph:
         yield from self.common_neighbors(u, v)
 
     def triangles(self) -> Iterator[tuple[Node, Node, Node]]:
-        """Iterate over every triangle exactly once (canonically ordered).
+        """Iterate over every triangle exactly once, as ``(u, v, w)``.
 
-        Apexes come in the adjacency order of the smaller endpoint's
-        neighbour map, not in set order, so the sequence is the same in
-        every process whatever ``PYTHONHASHSEED``.
+        ``(u, v)`` is the canonical key of the edge joining the two
+        lowest-ranked nodes. Nodes rank by ``<``, or by :func:`edge_key`'s
+        ``(type name, repr)`` fallback when their types are incomparable.
+        Apexes come in adjacency order, not set order, so the sequence
+        does not depend on ``PYTHONHASHSEED``.
         """
         adj = self._adj
+        try:
+            order = sorted(adj)
+        except TypeError:
+            order = sorted(adj, key=lambda w: (type(w).__name__, repr(w)))
+        rank = {w: i for i, w in enumerate(order)}
         for u, v in self.edges():
+            top = max(rank[u], rank[v])
             small, large = adj[u], adj[v]
             if len(small) > len(large):
                 small, large = large, small
             for w in small:
-                if w not in large:
-                    continue
-                a, b = edge_key(u, w)
-                c, d = edge_key(v, w)
-                # Emit each triangle once: only from its canonically
-                # smallest edge. (u, v) is already canonical; require that
-                # (u, v) sorts before both other edges of the triangle.
-                if (u, v) < (a, b) and (u, v) < (c, d):
+                if w in large and rank[w] > top:
                     yield (u, v, w)
 
     def number_of_nodes(self) -> int:
@@ -344,7 +345,12 @@ class ProbabilisticGraph:
         """Return the node-induced subgraph on ``nodes`` (unknown nodes ignored)."""
         keep = {u for u in nodes if u in self._adj}
         g = ProbabilisticGraph()
-        for u in keep:
+        # Walk this graph's adjacency, not the set: node and neighbour
+        # order then follow this graph in every process, whatever
+        # PYTHONHASHSEED.
+        for u in self._adj:
+            if u not in keep:
+                continue
             g.add_node(u)
             for v, p in self._adj[u].items():
                 if v in keep:

@@ -80,7 +80,9 @@ class DynamicTruss:
         """Current maximal (connected) k-trusses, as subgraphs."""
         from repro.graphs.components import edge_connected_components
 
-        clusters = edge_connected_components(self._graph, self._truss)
+        # Graph order, not set order: no PYTHONHASHSEED dependence.
+        truss = [e for e in self._graph.edges() if e in self._truss]
+        clusters = edge_connected_components(self._graph, truss)
         return [self._graph.edge_subgraph(c) for c in clusters]
 
     # ------------------------------------------------------------------
@@ -230,7 +232,9 @@ class DynamicLocalTruss:
         """Current maximal local (k, gamma)-trusses, as subgraphs."""
         from repro.graphs.components import edge_connected_components
 
-        clusters = edge_connected_components(self._graph, self._truss)
+        # Graph order, not set order: no PYTHONHASHSEED dependence.
+        truss = [e for e in self._graph.edges() if e in self._truss]
+        clusters = edge_connected_components(self._graph, truss)
         return [self._graph.edge_subgraph(c) for c in clusters]
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ objects are edges supported by triangles and the peeling below is
 *exactly* :func:`~repro.truss.decomposition.truss_decomposition` — the
 differential oracle the probabilistic generalisation
 (:mod:`repro.core.nucleus`) is tested against. ``(3, 4)`` peels
-triangles supported by 4-cliques.
+triangles supported by 4-cliques, and ``(1, 2)`` peels nodes supported
+by their incident edges: the k-core.
 
 Only ``s = r + 1`` is supported: each s-clique through ``R`` is then
 determined by a single *apex* vertex adjacent to all of ``R``, which is
@@ -18,7 +19,8 @@ apexes).
 
 Numbering convention: we keep the truss-style offset ``k = support + 2``
 for every ``(r, s)`` — so ``(2, 3)``-nucleus numbers coincide literally
-with trussness (Sariyüce's kappa is ``k - 2``).
+with trussness, and ``(1, 2)``-nucleus numbers are core numbers plus 2
+(Sariyüce's kappa is ``k - 2``).
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ __all__ = [
 Node = Hashable
 Clique = tuple
 
-#: The (r, s) pairs the peeling supports; both have s = r + 1 (see
+#: The (r, s) pairs the peeling supports; all have s = r + 1 (see
 #: module docstring for why that restriction is load-bearing).
-SUPPORTED_RS = ((2, 3), (3, 4))
+SUPPORTED_RS = ((1, 2), (2, 3), (3, 4))
 
 
 def validate_rs(r: int, s: int) -> None:
@@ -87,14 +89,17 @@ def apex_candidates(graph: ProbabilisticGraph, nodes: Sequence[Node]) -> set:
 def enumerate_r_cliques(graph: ProbabilisticGraph, r: int) -> list[Clique]:
     """All r-cliques of ``graph`` as canonical tuples, each exactly once.
 
-    ``r = 2`` yields the edges (as :func:`edge_key` tuples); ``r = 3``
-    yields the triangles.
+    ``r = 1`` yields the nodes as 1-tuples, in adjacency order; ``r = 2``
+    yields the edges (as :func:`edge_key` tuples); ``r = 3`` yields the
+    triangles.
     """
+    if r == 1:
+        return [(u,) for u in graph.nodes()]
     if r == 2:
         return [clique_key(e) for e in graph.edges()]
     if r == 3:
         return [clique_key(t) for t in graph.triangles()]
-    raise ParameterError(f"r must be 2 or 3, got {r}")
+    raise ParameterError(f"r must be 1, 2 or 3, got {r}")
 
 
 def _sibling_cliques(R: Clique, x: Node) -> list[Clique]:

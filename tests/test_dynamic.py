@@ -320,3 +320,45 @@ class TestChurnBattery:
                 dlt.insert_edge(u, v, p)
                 shadow.add_edge(u, v, p)
             assert dlt.truss_edges() == _static_local_edges(shadow, k, gamma)
+
+
+def maximal_truss_orders():
+    """Node lists of the maintained maximal trusses, in list order, on a
+    string-node fruitfly subgraph whose set order follows
+    ``PYTHONHASHSEED``."""
+    from repro.datasets.registry import load_dataset
+
+    source = load_dataset("fruitfly", seed=1, scale=0.3)
+    graph = ProbabilisticGraph(
+        (f"n{u}", f"n{v}", p)
+        for u, v, p in source.edges_with_probabilities()
+    )
+    return {
+        "truss": [list(t.nodes())
+                  for t in DynamicTruss(graph, 3).maximal_trusses()],
+        "local": [list(t.nodes()) for t in
+                  DynamicLocalTruss(graph, 3, 0.2).maximal_trusses()],
+    }
+
+
+class TestMaximalTrussOrderAcrossHashSeeds:
+    def test_maximal_trusses_are_hash_seed_independent(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        script = ("from tests.test_dynamic import maximal_truss_orders\n"
+                  "print(maximal_truss_orders())\n")
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(repo_root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env=env, cwd=repo_root, timeout=120,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1

@@ -134,7 +134,7 @@ class TestStructuralNucleus:
         assert structural_nucleus_decomposition(g, 3, 4) == {}
 
     def test_unsupported_families_rejected(self):
-        for r, s in ((1, 2), (2, 4), (3, 5), (4, 5), (3, 3)):
+        for r, s in ((2, 4), (3, 5), (4, 5), (3, 3), (1, 3)):
             with pytest.raises(ParameterError):
                 validate_rs(r, s)
         for r, s in SUPPORTED_RS:
@@ -432,21 +432,17 @@ class TestIdIndexedPeel:
             assert apex_slots % s == 0
             assert len(removals) == r * (apex_slots // s), (r, s)
             totals[r, s] = len(removals)
-        assert totals == {(2, 3): 10_712, (3, 4): 28_830}
+        assert totals == {(1, 2): 2_938, (2, 3): 10_712, (3, 4): 28_830}
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("labels", ["int", "str", "mixed"])
     def test_dp_equals_baseline(self, seed, labels):
         g = planted_clique_graph(3, 6, seed=seed)
-        families = SUPPORTED_RS
         if labels == "str":
             g = _relabelled(g, lambda u: f"n{u}")
         elif labels == "mixed":
             g = _relabelled(g, lambda u: u if u % 2 else f"s{u}")
-            # Triangle enumeration compares int and str nodes, so (3, 4)
-            # raises on this graph before the peel starts.
-            families = [(2, 3)]
-        for r, s in families:
+        for r, s in SUPPORTED_RS:
             for gamma in GAMMAS:
                 dp = nucleus_decomposition(g, r, s, gamma)
                 baseline = nucleus_decomposition(g, r, s, gamma,

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     EtaDegree,
@@ -13,8 +14,13 @@ from repro import (
     eta_core_subgraph,
     max_eta_core_number,
 )
+from repro.core.nucleus import nucleus_decomposition
 from repro.graphs.generators import complete_graph
-from tests.strategies import random_probabilistic_graph
+from tests.strategies import (
+    DYADIC_PROBS,
+    dyadic_random_graph,
+    random_probabilistic_graph,
+)
 
 
 class TestEtaDegree:
@@ -135,3 +141,118 @@ class TestEtaCoreSubgraph:
         assert max_eta_core_number(empty_graph, 0.5) == 0
         g = complete_graph(4, 1.0)
         assert max_eta_core_number(g, 0.5) == 3
+
+
+def bucket_peel_reference(graph, eta):
+    """The dedicated (k, eta)-core bucket peel that preceded the
+    ``(1, 2)``-nucleus adapter, kept verbatim as a differential
+    reference: dict buckets, :meth:`EtaDegree.eta_degree` levels
+    (an exact ``>= eta`` test) and a working copy of the graph."""
+    degrees = {u: EtaDegree.from_node(graph, u) for u in graph.nodes()}
+    levels = {u: d.eta_degree(eta) for u, d in degrees.items()}
+    if not levels:
+        return {}
+
+    top = max(levels.values())
+    buckets = [{} for _ in range(top + 1)]
+    for u, lvl in levels.items():
+        buckets[lvl][u] = None
+
+    alive = dict(levels)
+    core = {}
+    cursor = 0
+    k = 0
+    remaining = graph.copy()
+    for _ in range(len(levels)):
+        while not buckets[cursor]:
+            cursor += 1
+        u, _ = buckets[cursor].popitem()
+        del alive[u]
+        k = max(k, cursor)
+        core[u] = k
+        for v in list(remaining.neighbors(u)):
+            if v not in alive:
+                continue
+            degrees[v].remove_incident_edge(remaining.probability(u, v))
+            new_level = degrees[v].eta_degree(eta)
+            old_level = alive[v]
+            if new_level < old_level:
+                del buckets[old_level][v]
+                alive[v] = new_level
+                buckets[new_level][v] = None
+                if new_level < cursor:
+                    cursor = new_level
+        remaining.remove_node(u)
+    return core
+
+
+#: Eighths (tie-prone against dyadic probabilities) plus 0.1 and 0.9.
+ETAS = (0.1, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 0.9, 1.0)
+
+LABELS = {
+    "int": lambda u: u,
+    "str": lambda u: f"n{u}",
+    "mixed": lambda u: u if u % 2 else f"s{u}",
+}
+
+
+def _relabelled(graph, label):
+    out = ProbabilisticGraph()
+    for u in graph.nodes():
+        out.add_node(label(u))
+    for u, v, p in graph.edges_with_probabilities():
+        out.add_edge(label(u), label(v), p)
+    return out
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Small seeded graphs with int, str or mixed int/str nodes, with
+    continuous or dyadic probabilities (the latter make exact ties)."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    density = draw(st.sampled_from((0.2, 0.4, 0.7)))
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    if draw(st.booleans()):
+        g = dyadic_random_graph(n, density, seed,
+                                probs=DYADIC_PROBS + (1.0,))
+    else:
+        g = random_probabilistic_graph(n, density, seed)
+    return _relabelled(g, LABELS[draw(st.sampled_from(sorted(LABELS)))])
+
+
+class TestNucleusAdapter:
+    """``eta_core_decomposition`` is the ``(1, 2)``-nucleus minus 2; its
+    values equal the dedicated peel it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_graphs(), st.sampled_from(ETAS))
+    def test_equals_bucket_peel_reference(self, g, eta):
+        assert eta_core_decomposition(g, eta) == \
+            bucket_peel_reference(g, eta)
+
+    def test_equals_reference_on_eta_grid(self):
+        for seed in range(6):
+            for g in (random_probabilistic_graph(25, 0.25, seed),
+                      dyadic_random_graph(12, 0.5, seed,
+                                          probs=DYADIC_PROBS + (1.0,))):
+                for label in LABELS.values():
+                    h = _relabelled(g, label)
+                    for eta in ETAS:
+                        assert eta_core_decomposition(h, eta) == \
+                            bucket_peel_reference(h, eta), (seed, eta)
+
+    def test_is_the_12_nucleus_minus_two(self):
+        g = random_probabilistic_graph(20, 0.3, 5)
+        scores = nucleus_decomposition(g, 1, 2, 0.4).scores
+        core = eta_core_decomposition(g, 0.4)
+        assert list(core) == [cell[0] for cell in scores]
+        assert list(core.values()) == [nu - 2 for nu in scores.values()]
+
+    def test_level_slack_is_the_one_rule_difference(self):
+        # The engine's level() accepts a tail within a relative 1e-9 of
+        # eta; EtaDegree.eta_degree compares >= eta exactly. A tail of
+        # exactly 0.5 against eta = 0.5 * (1 + 5e-10) lands in between.
+        g = ProbabilisticGraph([(0, 1, 0.5)])
+        eta = 0.5 * (1 + 5e-10)
+        assert bucket_peel_reference(g, eta) == {0: 0, 1: 0}
+        assert eta_core_decomposition(g, eta) == {0: 1, 1: 1}

@@ -1,6 +1,7 @@
 """Unit tests for :class:`repro.graphs.probabilistic.ProbabilisticGraph`."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,21 @@ from repro import (
     ProbabilisticGraph,
     edge_key,
 )
+from tests.strategies import planted_clique_graph
+
+RELABEL = {
+    "int": lambda u: u,
+    "str": lambda u: f"n{u}",
+    "mixed": lambda u: u if u % 2 else f"s{u}",
+}
+
+
+def _planted(label):
+    """A triangle-rich graph (three planted 5-cliques) relabelled."""
+    source = planted_clique_graph(3, 5, seed=4)
+    return ProbabilisticGraph(
+        (label(u), label(v), p)
+        for u, v, p in source.edges_with_probabilities())
 
 
 class TestEdgeKey:
@@ -180,6 +196,45 @@ class TestIteration:
         assert len(tris) == 4
         as_sets = {frozenset(t) for t in tris}
         assert len(as_sets) == 4
+
+    @pytest.mark.parametrize("labels", sorted(RELABEL))
+    def test_triangles_match_brute_force(self, labels):
+        # Every triangle exactly once, from its canonical edge, also
+        # when int and str nodes mix and tuples of them do not compare.
+        g = _planted(RELABEL[labels])
+        tris = list(g.triangles())
+        brute = {
+            frozenset(c) for c in combinations(list(g.nodes()), 3)
+            if all(g.has_edge(a, b) for a, b in combinations(c, 2))
+        }
+        assert len(brute) > 20
+        assert len(tris) == len(brute)
+        assert {frozenset(t) for t in tris} == brute
+        assert all(edge_key(u, v) == (u, v) for u, v, _ in tris)
+
+    def test_mixed_node_triangle_consumers(self):
+        # The (3, 4) peels and the graph profile enumerate triangles;
+        # on a mixed int/str relabelling they give the int graph's
+        # answers, cell for cell.
+        from repro import nucleus_decomposition
+        from repro.core.stats import profile_graph
+        from repro.truss.nucleus import (
+            clique_key,
+            structural_nucleus_decomposition,
+        )
+
+        label = RELABEL["mixed"]
+        ints, mixed = _planted(RELABEL["int"]), _planted(label)
+
+        def relabelled(scores):
+            return {clique_key([label(u) for u in cell]): nu
+                    for cell, nu in scores.items()}
+
+        assert structural_nucleus_decomposition(mixed, 3, 4) == relabelled(
+            structural_nucleus_decomposition(ints, 3, 4))
+        assert nucleus_decomposition(mixed, 3, 4, 0.3).scores == relabelled(
+            nucleus_decomposition(ints, 3, 4, 0.3).scores)
+        assert profile_graph(mixed) == profile_graph(ints)
 
     def test_triangles_of_edge(self, two_triangles_sharing_edge):
         apexes = set(two_triangles_sharing_edge.triangles_of_edge("a", "b"))

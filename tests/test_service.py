@@ -454,6 +454,32 @@ class TestLiveServer:
             assert code == 400
             assert err["error"]["type"] == "ParameterError"
 
+    def test_core_family_serves_run_nucleus_bytes(self, tmp_path,
+                                                  example_path):
+        # (1, 2), the (k, eta)-core family, needs no service code of its
+        # own: its index holds run_nucleus's canonical bytes, cold and
+        # after a warm restart.
+        from repro.graphs.io import read_edge_list
+        from repro.runtime import run_nucleus
+        from repro.runtime.result import serialize_nucleus_result
+
+        expected = serialize_nucleus_result(
+            run_nucleus(read_edge_list(example_path), 1, 2, 0.3).result)
+        spec = quote(str(example_path), safe="")
+        query = f"/nucleus?graph={spec}&gamma=0.3&r=1&s=2"
+        with live_service(tmp_path / "state") as svc:
+            code, cold, _ = http_get(svc, query + "&wait=1&deadline=30")
+            assert code == 200
+            assert (cold["r"], cold["s"]) == (1, 2)
+            assert svc.store.get(cold["token"]).result_path.read_bytes() \
+                == expected
+        with live_service(tmp_path / "state") as svc:
+            code, warm, _ = http_get(svc, query)
+            assert code == 200 and warm == cold
+            assert svc.store.get(warm["token"]).result_path.read_bytes() \
+                == expected
+            assert svc.builder.stats["builds"] == 0
+
     def test_stats_deadline_degrades_honestly(self, tmp_path, example_path):
         rec = Recorder()
         with live_service(tmp_path / "state", progress=rec) as svc:

@@ -143,3 +143,28 @@ class TestCoreTeam:
     def test_missing_query_rejected(self, task_graph):
         with pytest.raises(ParameterError):
             team_by_eta_core(task_graph, ["Nobody"], GAMMA)
+
+
+class TestTeamAcrossHashSeeds:
+    def test_repro_team_output_is_hash_seed_independent(self):
+        # The team study's graphs have string nodes. Maximal trusses are
+        # built from edge clusters and node subgraphs, so cluster and
+        # subgraph order must not follow set order: otherwise GBU seeds
+        # components in a different order and reports different teams.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(repo_root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "--seed", "42", "team"],
+                capture_output=True, text=True, check=True,
+                env=env, cwd=repo_root, timeout=120,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
