@@ -239,11 +239,16 @@ class NucleusResult:
         ``r = 3`` the union of the triangles' edges — the shape the
         containment-monotonicity property ((3,4) edges are a subset of
         (2,3) edges at matching thresholds) is stated over. For
-        ``r = 1`` a cell holds no edge, so the list is empty.
+        ``r = 1`` a cell is a node, so these are the edges its nodes
+        induce — the (k - 2, gamma)-core subgraph.
         """
         if k not in self._edges_cache:
-            edges = {pair for cell in self.nucleus_cliques(k)
-                     for pair in combinations(cell, 2)}
+            cells = self.nucleus_cliques(k)
+            if self.r == 1:
+                edges = set(self.graph.subgraph(c[0] for c in cells).edges())
+            else:
+                edges = {pair for cell in cells
+                         for pair in combinations(cell, 2)}
             self._edges_cache[k] = sorted(edges, key=_edge_order)
         return list(self._edges_cache[k])
 

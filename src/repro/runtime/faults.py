@@ -1,9 +1,11 @@
 """Deterministic fault injection for exercising every recovery path.
 
-A :class:`FaultPlan` is a progress hook that raises a scheduled
-exception the first time a given ``(phase, step)`` boundary is reached —
-simulated SIGINT (:class:`~repro.exceptions.ComputationInterrupted`),
-simulated OOM (:class:`MemoryError`), or any caller-supplied exception.
+A :class:`FaultPlan` schedules an exception for the first time a given
+``(phase, step)`` boundary is reached — simulated SIGINT
+(:class:`~repro.exceptions.ComputationInterrupted`), simulated OOM
+(:class:`MemoryError`), or any caller-supplied exception. A run takes
+its plan as ``faults=`` and chains :meth:`FaultPlan.check` right after
+its ``progress`` hook, so the plan sees every event that hook sees.
 Because faults key on the same batch boundaries the checkpoints use,
 tests can kill a run at *every* boundary and assert that resuming
 reproduces the uninterrupted output byte for byte. The ``*_on_phase``
@@ -291,27 +293,6 @@ class FaultPlan:
         if isinstance(exc, type):
             raise exc(f"injected fault at {key[0]} step {key[1]}")
         raise exc
-
-    __call__ = check
-
-
-def _find_fault_plan(hook) -> FaultPlan | None:
-    """The :class:`FaultPlan` a progress hook carries, or None.
-
-    Fault plans travel in ``progress=`` like any other hook. The plan is
-    ``hook`` itself or a member of a
-    :func:`~repro.runtime.progress.chain_hooks` composition, nested or
-    not; the harness hands its pool faults to the executor and its disk
-    faults to the checkpoint store, and the service takes its service
-    faults from it. A run takes one plan: the first one found.
-    """
-    if isinstance(hook, FaultPlan):
-        return hook
-    for member in getattr(hook, "hooks", ()):
-        plan = _find_fault_plan(member)
-        if plan is not None:
-            return plan
-    return None
 
 
 def corrupt_checkpoint(directory, target: str = "manifest",

@@ -58,7 +58,7 @@ from repro.graphs.sampling import (
 )
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import CheckpointStore, decode_node, encode_node
-from repro.runtime.faults import _find_fault_plan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.progress import ProgressEvent, chain_hooks
 from repro.runtime.result import PartialResult
 from repro.runtime.spill import SpillDirectory
@@ -107,10 +107,11 @@ class _Run:
     """The lifecycle every harnessed run shares.
 
     Construction is the set-up: the checkpoint store (armed with the
-    disk faults of a :class:`~repro.runtime.faults.FaultPlan` found in
-    ``progress``), the int-seed check, the budget's clock and the hook
-    chain :attr:`hook`, and resume-or-clear — :attr:`manifest` is the
-    resumable manifest, or None.
+    disk faults of ``faults``), the int-seed check, the budget's clock,
+    the hook chains, and resume-or-clear — :attr:`manifest` is the
+    resumable manifest, or None. :attr:`progress` is the user's hook
+    followed by the fault plan's :meth:`~repro.runtime.FaultPlan.check`;
+    :attr:`hook` adds the budget after them.
 
     Checkpoint writes go through :meth:`save`. The first
     :class:`~repro.exceptions.CheckpointWriteError` (a full disk, a torn
@@ -134,12 +135,14 @@ class _Run:
     """
 
     def __init__(self, kind: str, params: dict, *, graph, budget, progress,
-                 checkpoint_dir, resume: bool, on_corrupt: str,
-                 seed=None):
+                 faults: FaultPlan | None, checkpoint_dir, resume: bool,
+                 on_corrupt: str, seed=None):
         self.kind = kind
         self.params = params
         self.budget = budget
-        self.progress = progress
+        self.faults = faults
+        self.progress = chain_hooks(
+            progress, None if faults is None else faults.check)
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         if self.store is not None:
             # Only the manifest reads the fingerprint, and it costs a
@@ -162,12 +165,11 @@ class _Run:
         self.error: BaseException | None = None
         self._checkpointing = self.store is not None
         self._exit = ExitStack()
-        plan = _find_fault_plan(progress)
-        if self.store is not None and plan is not None:
-            self.store.write_fault = plan.take_disk_fault
+        if self.store is not None and faults is not None:
+            self.store.write_fault = faults.take_disk_fault
         if budget is not None:
             budget.start()
-        self.hook = chain_hooks(progress, budget)
+        self.hook = chain_hooks(self.progress, budget)
         self.manifest = None
         if self.store is not None and resume and self.store.exists():
             try:
@@ -213,7 +215,7 @@ class _Run:
         # None means serial: the inline executor (0 would mean "auto").
         self.executor = ParallelExecutor(
             1 if workers is None else workers, graph=graph,
-            faults=_find_fault_plan(self.progress), **options,
+            faults=self.faults, **options,
         ).start()
         self._exit.callback(self.executor.close)
         return self.executor
@@ -331,6 +333,7 @@ def run_global(
     checkpoint_dir=None,
     resume: bool = False,
     progress=None,
+    faults: FaultPlan | None = None,
     gtd_fraction: float = DEFAULT_GTD_FRACTION,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
@@ -369,8 +372,11 @@ def run_global(
         Snapshot directory; with ``resume`` an existing compatible
         checkpoint is continued bit-identically.
     progress:
-        Extra hook chained before the budget (fault plans and interrupt
-        guards go here).
+        Extra hook chained before the budget (interrupt guards go here).
+    faults:
+        A :class:`~repro.runtime.FaultPlan`: its step faults check every
+        event after ``progress``, its pool faults arm the executor and
+        its disk faults the checkpoint store.
     gtd_fraction:
         Share of the remaining deadline GTD may spend before degrading
         to GBU.
@@ -435,7 +441,7 @@ def run_global(
         # compatible run. (Pre-unification "sequential" checkpoints are
         # a different family and correctly refuse to resume.)
         "rng_scheme": "per-seed",
-    }, graph=graph, budget=budget, progress=progress,
+    }, graph=graph, budget=budget, progress=progress, faults=faults,
         checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt,
         seed=seed)
     store = run.store
@@ -604,8 +610,8 @@ def run_global(
             )
             if spilled_path is not None:
                 spill_info["spilled_to"] = str(spilled_path)
-                if progress is not None:
-                    progress(ProgressEvent(
+                if run.progress is not None:
+                    run.progress(ProgressEvent(
                         "resource-pressure", step=0, detail={
                             "resource": "memory", "action": "spill",
                             "path": str(spilled_path),
@@ -650,8 +656,7 @@ def run_global(
                 method=stage_method, seed=rng, n_samples=n_drawn,
                 local_result=local_result, samples=world_set, max_k=max_k,
                 max_states=max_states,
-                progress=chain_hooks(level_checkpoint, progress, budget,
-                                     extra_hook),
+                progress=chain_hooks(level_checkpoint, run.hook, extra_hook),
                 start_k=max(completed, default=1) + 1,
                 initial_trusses={k: list(v) for k, v in completed.items()},
                 executor=executor,
@@ -711,6 +716,7 @@ def run_local(
     checkpoint_dir=None,
     resume: bool = False,
     progress=None,
+    faults: FaultPlan | None = None,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
 ) -> PartialResult:
@@ -726,7 +732,7 @@ def run_local(
     run = run_nucleus(
         graph, 2, 3, gamma, method=method, budget=budget,
         checkpoint_dir=checkpoint_dir, resume=resume, progress=progress,
-        on_corrupt=on_corrupt, workers=workers,
+        faults=faults, on_corrupt=on_corrupt, workers=workers,
     )
     assert isinstance(run.result, NucleusResult)
     trussness = run.result.scores
@@ -750,6 +756,7 @@ def run_nucleus(
     checkpoint_dir=None,
     resume: bool = False,
     progress=None,
+    faults: FaultPlan | None = None,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
 ) -> PartialResult:
@@ -782,7 +789,7 @@ def run_nucleus(
         # that folded them in another order ("adjacency": serial local
         # runs; "canonical": (type name, str) order) must not resume.
         "pmf_order": "natural",
-    }, graph=graph, budget=budget, progress=progress,
+    }, graph=graph, budget=budget, progress=progress, faults=faults,
         checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt)
     run.stage = "peeling"
 
@@ -827,6 +834,7 @@ def run_reliability(
     checkpoint_dir=None,
     resume: bool = False,
     progress=None,
+    faults: FaultPlan | None = None,
     on_corrupt: str = "raise",
     workers: int | str | None = None,
     task_timeout: float | None = None,
@@ -862,7 +870,7 @@ def run_reliability(
         "batch_size": batch_size,
         "seed": seed,
         "delta": delta,
-    }, graph=graph, budget=budget, progress=progress,
+    }, graph=graph, budget=budget, progress=progress, faults=faults,
         checkpoint_dir=checkpoint_dir, resume=resume, on_corrupt=on_corrupt,
         seed=seed)
 

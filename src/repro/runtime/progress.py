@@ -192,7 +192,4 @@ def chain_hooks(*hooks: ProgressHook | None) -> ProgressHook | None:
         for hook in live:
             hook(event)
 
-    # Introspectable composition: the fault-plan lookup
-    # (repro.runtime.faults) walks it to find a FaultPlan in the chain.
-    chained.hooks = tuple(live)
     return chained

@@ -48,7 +48,6 @@ from repro.exceptions import (
     http_status_of,
 )
 from repro.runtime import Budget, FaultPlan, InterruptGuard, chain_hooks
-from repro.runtime.faults import _find_fault_plan
 from repro.runtime.harness import _graph_fingerprint
 from repro.runtime.progress import ProgressEvent
 from repro.service.admission import AdmissionController
@@ -96,24 +95,6 @@ class ServeConfig:
     extra: dict = field(default_factory=dict)
 
 
-class _FaultCarrier:
-    """Side-band bridge from the service's fault plan to the harness.
-
-    Build events reach the plan through :meth:`TrussService.emit_event`
-    (single delivery); this no-op hook only *exposes* it via ``.hooks``,
-    the :func:`~repro.runtime.progress.chain_hooks` composition the
-    harness's fault-plan lookup walks, so armed ``kill_worker`` /
-    ``exhaust_disk`` faults reach the worker pool and the checkpoint
-    store of background index builds.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.hooks = (plan,)
-
-    def __call__(self, event: ProgressEvent) -> None:
-        pass
-
-
 class _GraphRecord:
     """One cached graph and the values the service derives from it once.
 
@@ -150,13 +131,19 @@ class TrussService:
 
     def __init__(self, config: ServeConfig,
                  progress: Callable[[ProgressEvent], None] | None = None,
+                 faults: FaultPlan | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.config = config
         self._clock = clock
         self._progress = progress
-        self._fault_plan = _find_fault_plan(progress)
-        # Re-entrant: a watchdog alert raised *inside* emit_event (the
-        # watchdog is itself an emit target) re-enters to deliver its
+        #: Service faults fire in the HTTP layer; step, pool and disk
+        #: faults travel to every index build as ``faults=``.
+        self._faults = faults
+        # Serializes the trace stream, the user's hook and the watchdog.
+        # A build's fault plan checks events outside it: FaultPlan.check
+        # only pops dict entries and appends to ``fired``. Re-entrant: a
+        # watchdog alert raised *inside* emit_event (the watchdog is
+        # itself an emit target) re-enters to deliver its
         # resource-pressure event.
         self._emit_lock = threading.RLock()
         self.store = IndexStore(f"{config.state_dir}/indexes")
@@ -195,8 +182,8 @@ class TrussService:
         self.emit_event(ProgressEvent(phase, step, detail=detail))
 
     def emit_event(self, event: ProgressEvent) -> None:
-        """Serialize event delivery: handler threads + builder share the
-        trace stream and the (stateful) fault-plan hooks."""
+        """Serialize event delivery: handler threads and the builder
+        share the trace stream, the user's hook and the watchdog."""
         with self._emit_lock:
             if self.config.trace:
                 print(f"[serve] {event.phase} step={event.step} "
@@ -208,9 +195,9 @@ class TrussService:
                 self.watchdog(event)
 
     def _take_fault(self, kind: str) -> float | None:
-        if self._fault_plan is None:
+        if self._faults is None:
             return None
-        return self._fault_plan.take_service_fault(kind)
+        return self._faults.take_service_fault(kind)
 
     def _next_request_id(self) -> int:
         with self._seq_lock:
@@ -336,9 +323,7 @@ class TrussService:
                 if event.phase == "sample-batch":
                     time.sleep(pause)
 
-        carrier = (None if self._fault_plan is None
-                   else _FaultCarrier(self._fault_plan))
-        hook = chain_hooks(self.emit_event, carrier, throttle, *extra_hooks)
+        hook = chain_hooks(self.emit_event, throttle, *extra_hooks)
         if key.kind == "global":
             return run_global(
                 graph, key.gamma, epsilon=key.epsilon, delta=key.delta,
@@ -346,20 +331,20 @@ class TrussService:
                 n_samples=key.n_samples,
                 batch_size=self.config.batch_size,
                 checkpoint_dir=entry.checkpoint_dir, resume=True,
-                progress=hook, workers=self.config.workers,
-                on_corrupt="restart",
+                progress=hook, faults=self._faults,
+                workers=self.config.workers, on_corrupt="restart",
             )
         if key.kind == "nucleus":
             assert key.r is not None and key.s is not None
             return run_nucleus(
                 graph, key.r, key.s, key.gamma, method=key.method,
                 checkpoint_dir=entry.checkpoint_dir, resume=True,
-                progress=hook, on_corrupt="restart",
+                progress=hook, faults=self._faults, on_corrupt="restart",
             )
         return run_local(
             graph, key.gamma, method=key.method,
             checkpoint_dir=entry.checkpoint_dir, resume=True,
-            progress=hook, on_corrupt="restart",
+            progress=hook, faults=self._faults, on_corrupt="restart",
         )
 
     def payload_of(self, key: IndexKey,

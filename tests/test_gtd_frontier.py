@@ -205,7 +205,7 @@ class TestFrontierFaults:
         undisturbed = self.full_run(graph, gamma, workers=2)
         assert undisturbed.complete and not undisturbed.degraded
         plan = FaultPlan().kill_worker(after_tasks=1)
-        disturbed = self.full_run(graph, gamma, workers=2, progress=plan)
+        disturbed = self.full_run(graph, gamma, workers=2, faults=plan)
         assert disturbed.complete and not disturbed.degraded
         assert (serialize_global_result(disturbed.result)
                 == serialize_global_result(undisturbed.result))
@@ -216,7 +216,7 @@ class TestFrontierFaults:
                                      times=10)
         partial = self.full_run(
             graph, gamma, workers=2, task_timeout=2.0, max_task_retries=1,
-            progress=plan,
+            faults=plan,
         )
         assert partial.complete
         assert partial.degraded
@@ -237,7 +237,7 @@ class TestFrontierFaults:
         plan = FaultPlan().sigint_at("gtd-frontier", 0)
         with pytest.raises(ComputationInterrupted):
             self.full_run(graph, gamma, workers=killed_workers,
-                          checkpoint_dir=ck, progress=plan)
+                          checkpoint_dir=ck, faults=plan)
         assert plan.fired == [("gtd-frontier", 0)]
         # The interrupt landed after the round's snapshot was written.
         snapshot = CheckpointStore(ck).load_frontier()

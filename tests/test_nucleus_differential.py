@@ -491,3 +491,15 @@ class TestResultApiAndValidation:
         assert res.k_max == 0
         assert res.nucleus_cliques(2) == []
         assert res.nucleus_edges(2) == []
+
+    def test_12_nucleus_edges_are_the_induced_core(self):
+        # A (1, 2) cell is a node: its k-nucleus edges are the ones the
+        # surviving nodes induce, the (k - 2, gamma)-core subgraph.
+        g = random_probabilistic_graph(25, 0.3, 4)
+        res = nucleus_decomposition(g, 1, 2, 0.3)
+        assert res.k_max >= 3
+        for k in range(2, res.k_max + 1):
+            nodes = [cell[0] for cell in res.nucleus_cliques(k)]
+            expected = set(g.subgraph(nodes).edges())
+            assert expected
+            assert set(res.nucleus_edges(k)) == expected

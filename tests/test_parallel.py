@@ -196,7 +196,7 @@ class TestParallelResume:
         ck = tmp_path / "ck"
         plan = FaultPlan().sigint_at("gbu-seed", 0)
         with pytest.raises(ComputationInterrupted):
-            self.full_run(graph, workers=2, checkpoint_dir=ck, progress=plan)
+            self.full_run(graph, workers=2, checkpoint_dir=ck, faults=plan)
         resumed = self.full_run(graph, workers=4, checkpoint_dir=ck,
                                 resume=True)
         assert resumed.complete

@@ -250,7 +250,7 @@ class TestKillAndResume:
         ck = tmp_path / "ck"
         plan = FaultPlan().sigint_at(phase, step)
         with pytest.raises(ComputationInterrupted) as exc_info:
-            full_run(graph, seed, checkpoint_dir=ck, progress=plan)
+            full_run(graph, seed, checkpoint_dir=ck, faults=plan)
         assert plan.fired == [(phase, step)]
         assert exc_info.value.checkpoint_path == str(ck)
 
@@ -265,10 +265,10 @@ class TestKillAndResume:
         ck = tmp_path / "ck"
         with pytest.raises(ComputationInterrupted):
             full_run(graph, 5, checkpoint_dir=ck,
-                     progress=FaultPlan().sigint_at("sample-batch", 1))
+                     faults=FaultPlan().sigint_at("sample-batch", 1))
         with pytest.raises(ComputationInterrupted):
             full_run(graph, 5, checkpoint_dir=ck, resume=True,
-                     progress=FaultPlan().sigint_at("global-level-done", 2))
+                     faults=FaultPlan().sigint_at("global-level-done", 2))
         resumed = full_run(graph, 5, checkpoint_dir=ck, resume=True)
         assert serialize_global_result(resumed.result) == baseline
 
@@ -297,7 +297,7 @@ class TestKillAndResume:
         with pytest.raises(ComputationInterrupted):
             run_reliability(graph, n_samples=120, batch_size=40, seed=seed,
                             checkpoint_dir=ck,
-                            progress=FaultPlan().sigint_at(
+                            faults=FaultPlan().sigint_at(
                                 "reliability-batch", 1))
         resumed = run_reliability(graph, n_samples=120, batch_size=40,
                                   seed=seed, checkpoint_dir=ck, resume=True)

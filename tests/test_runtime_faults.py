@@ -22,7 +22,7 @@ from repro.runtime import (
     serialize_local_result,
     serialize_nucleus_result,
 )
-from repro.runtime.progress import ProgressEvent, chain_hooks
+from repro.runtime.progress import ProgressEvent
 
 
 def global_run(graph, **kwargs):
@@ -33,40 +33,47 @@ def global_run(graph, **kwargs):
 class TestFaultPlan:
     def test_fires_once_at_exact_boundary(self):
         plan = FaultPlan().raise_at("sample-batch", 2, RuntimeError("boom"))
-        plan(ProgressEvent("sample-batch", step=0))
-        plan(ProgressEvent("global-level", step=2))  # wrong phase
+        plan.check(ProgressEvent("sample-batch", step=0))
+        plan.check(ProgressEvent("global-level", step=2))  # wrong phase
         with pytest.raises(RuntimeError, match="boom"):
-            plan(ProgressEvent("sample-batch", step=2))
-        plan(ProgressEvent("sample-batch", step=2))  # spent, silent now
+            plan.check(ProgressEvent("sample-batch", step=2))
+        plan.check(ProgressEvent("sample-batch", step=2))  # spent, silent now
         assert plan.fired == [("sample-batch", 2)]
 
     def test_exception_class_is_instantiated(self):
         plan = FaultPlan().raise_at("nucleus-peel", 64, MemoryError)
         with pytest.raises(MemoryError, match="injected fault"):
-            plan(ProgressEvent("nucleus-peel", step=64))
+            plan.check(ProgressEvent("nucleus-peel", step=64))
+
+    def test_plan_is_not_a_progress_hook(self):
+        # A plan passed as progress= would leave its pool and disk
+        # faults unarmed; it fails loudly at the first event instead.
+        graph = gnp_graph(30, 0.3, seed=0)
+        with pytest.raises(TypeError):
+            run_nucleus(graph, 2, 3, 0.3, progress=FaultPlan())
 
     def test_chaining(self):
         plan = (FaultPlan()
                 .sigint_at("sample-batch", 0)
                 .oom_at("gbu-seed", 3))
         with pytest.raises(ComputationInterrupted):
-            plan(ProgressEvent("sample-batch", step=0))
+            plan.check(ProgressEvent("sample-batch", step=0))
         with pytest.raises(MemoryError):
-            plan(ProgressEvent("gbu-seed", step=3))
+            plan.check(ProgressEvent("gbu-seed", step=3))
 
 
 class TestSimulatedSigint:
     def test_sigint_without_checkpoint_propagates(self):
         graph = running_example()
         with pytest.raises(ComputationInterrupted) as exc_info:
-            global_run(graph, progress=FaultPlan().sigint_at("sample-batch", 0))
+            global_run(graph, faults=FaultPlan().sigint_at("sample-batch", 0))
         assert exc_info.value.checkpoint_path is None
 
     def test_sigint_with_checkpoint_names_the_snapshot(self, tmp_path):
         graph = running_example()
         with pytest.raises(ComputationInterrupted) as exc_info:
             global_run(graph, checkpoint_dir=tmp_path,
-                       progress=FaultPlan().sigint_at("global-level", 2))
+                       faults=FaultPlan().sigint_at("global-level", 2))
         assert exc_info.value.checkpoint_path == str(tmp_path)
 
     def test_sigint_during_local_peel(self):
@@ -76,14 +83,14 @@ class TestSimulatedSigint:
         assert graph.number_of_edges() > 64
         with pytest.raises(ComputationInterrupted):
             run_local(graph, 0.3,
-                      progress=FaultPlan().sigint_at("nucleus-peel", 64))
+                      faults=FaultPlan().sigint_at("nucleus-peel", 64))
 
 
 class TestSimulatedOom:
     def test_oom_during_sampling_degrades(self):
         graph = running_example()
         partial = global_run(
-            graph, progress=FaultPlan().oom_at("sample-batch", 0))
+            graph, faults=FaultPlan().oom_at("sample-batch", 0))
         # Decomposition still runs over the truncated sample set; the
         # outcome is degraded in accuracy, not aborted.
         assert partial.degraded
@@ -95,7 +102,7 @@ class TestSimulatedOom:
     def test_oom_during_decomposition_returns_completed_levels(self):
         graph = running_example()
         partial = global_run(
-            graph, progress=FaultPlan().oom_at("global-level-done", 2))
+            graph, faults=FaultPlan().oom_at("global-level-done", 2))
         assert partial.degraded and not partial.complete
         assert partial.completed_k == 2  # level 2 was committed first
         assert partial.result.trusses.get(2)
@@ -103,7 +110,7 @@ class TestSimulatedOom:
     def test_oom_during_local_run(self):
         graph = gnp_graph(30, 0.3, seed=0)
         partial = run_local(graph, 0.3,
-                            progress=FaultPlan().oom_at("nucleus-peel", 64))
+                            faults=FaultPlan().oom_at("nucleus-peel", 64))
         assert partial.degraded and not partial.complete
         assert "memory" in partial.reason.lower()
         # The salvaged prefix of trussness values is final.
@@ -115,7 +122,7 @@ class TestSimulatedOom:
         graph = running_example()
         partial = run_reliability(
             graph, n_samples=120, batch_size=40, seed=0,
-            progress=FaultPlan().oom_at("reliability-batch", 1))
+            faults=FaultPlan().oom_at("reliability-batch", 1))
         assert partial.degraded and not partial.complete
         assert partial.n_samples_drawn == 80  # two committed batches
 
@@ -167,8 +174,8 @@ class TestDiskFaults:
         baseline = serialize(run().result)
         events: list[ProgressEvent] = []
         plan = FaultPlan().exhaust_disk()
-        partial = run(checkpoint_dir=tmp_path,
-                      progress=chain_hooks(events.append, plan))
+        partial = run(checkpoint_dir=tmp_path, progress=events.append,
+                      faults=plan)
         # The run completes and the answer is untouched...
         assert partial.complete
         assert serialize(partial.result) == baseline
@@ -188,7 +195,7 @@ class TestDiskFaults:
             self, tmp_path):
         graph = running_example()
         plan = FaultPlan().exhaust_disk()  # only the FIRST write fails
-        partial = global_run(graph, checkpoint_dir=tmp_path, progress=plan)
+        partial = global_run(graph, checkpoint_dir=tmp_path, faults=plan)
         assert partial.complete and partial.degraded
         # Later writes would have succeeded, but the store is disabled:
         # a degraded checkpoint must not masquerade as a resumable one.
@@ -214,7 +221,7 @@ class TestCorruptCheckpoints:
         graph = running_example()
         with pytest.raises(ComputationInterrupted):
             global_run(graph, checkpoint_dir=tmp_path,
-                       progress=FaultPlan().sigint_at("sample-batch", 1))
+                       faults=FaultPlan().sigint_at("sample-batch", 1))
         return graph
 
     @pytest.mark.parametrize("mode", ["garbage", "truncate"])

@@ -25,7 +25,7 @@ from repro.runtime import (
     run_global,
     serialize_global_result,
 )
-from repro.runtime.progress import ProgressEvent, chain_hooks
+from repro.runtime.progress import ProgressEvent
 from tests.strategies import dyadic_random_graph
 
 
@@ -191,11 +191,10 @@ class TestWorldSampleSetSpill:
 
 def pressured_run(graph, workers, spill_dir, recorder=None):
     """A run that hits a memory-budget breach on the first sample batch."""
-    plan = FaultPlan().memory_pressure("sample-batch", 0)
-    progress = plan if recorder is None else chain_hooks(recorder, plan)
     return run_global(graph, 0.3, method="gbu", seed=1, n_samples=60,
                       batch_size=20, workers=workers, spill_dir=spill_dir,
-                      progress=progress)
+                      progress=recorder,
+                      faults=FaultPlan().memory_pressure("sample-batch", 0))
 
 
 class TestSpillPolicy:
@@ -232,7 +231,7 @@ class TestSpillPolicy:
         graph = dyadic_random_graph(8, 0.5, seed=3)
         plan = FaultPlan().memory_pressure("sample-batch", 0)
         partial = run_global(graph, 0.3, method="gbu", seed=1,
-                             n_samples=60, batch_size=20, progress=plan,
+                             n_samples=60, batch_size=20, faults=plan,
                              on_memory_pressure="abort")
         assert partial.degraded
         assert partial.n_samples_drawn < partial.n_samples_requested
@@ -269,6 +268,6 @@ class TestSpillPolicy:
             partial = run_global(
                 graph, 0.3, method="gbu", seed=1, n_samples=40,
                 batch_size=20, workers=workers, spill_dir=tmp,
-                progress=FaultPlan().memory_pressure("sample-batch", 0))
+                faults=FaultPlan().memory_pressure("sample-batch", 0))
             assert partial.complete and not partial.degraded
             assert serialize_global_result(partial.result) == reference

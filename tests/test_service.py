@@ -34,7 +34,7 @@ from repro.exceptions import (
 )
 from repro.graphs.generators import running_example
 from repro.graphs.io import write_edge_list
-from repro.runtime import Budget, chain_hooks
+from repro.runtime import Budget
 from repro.runtime.faults import FaultPlan
 from repro.service import (
     AdmissionController,
@@ -346,10 +346,10 @@ class TestIndexBuilder:
 # ----------------------------------------------------------------------
 # live loopback server
 @contextmanager
-def live_service(state_dir, progress=None, **overrides):
+def live_service(state_dir, progress=None, faults=None, **overrides):
     overrides.setdefault("default_deadline", 10.0)
     cfg = ServeConfig(state_dir=str(state_dir), **overrides)
-    svc = TrussService(cfg, progress=progress)
+    svc = TrussService(cfg, progress=progress, faults=faults)
     svc.start()
     thread = threading.Thread(
         target=svc.http_server.serve_forever,
@@ -602,7 +602,7 @@ class TestLiveServer:
         plan = FaultPlan().drop_connection()
         rec = Recorder()
         with live_service(tmp_path / "state",
-                          progress=chain_hooks(plan, rec)) as svc:
+                          progress=rec, faults=plan) as svc:
             host, port = svc.address
             with pytest.raises((ConnectionError, urllib.error.URLError,
                                 OSError)):
@@ -618,7 +618,7 @@ class TestLiveServer:
 
     def test_slow_client_holds_slot_and_sheds_followers(self, tmp_path):
         plan = FaultPlan().slow_client(1.0)
-        with live_service(tmp_path / "state", progress=plan,
+        with live_service(tmp_path / "state", faults=plan,
                           max_inflight=1, max_queue=0) as svc:
             results = {}
 
@@ -643,7 +643,7 @@ class TestLiveServer:
         plan = FaultPlan().refuse_accept()
         rec = Recorder()
         with live_service(tmp_path / "state",
-                          progress=chain_hooks(plan, rec)) as svc:
+                          progress=rec, faults=plan) as svc:
             host, port = svc.address
             with pytest.raises((ConnectionError, urllib.error.URLError,
                                 OSError)):

@@ -176,10 +176,7 @@ def test_worker_killed_mid_build_is_supervised_and_reported(
         tmp_path, example_path, baseline_bytes):
     plan = FaultPlan().kill_worker()
     rec = Recorder()
-    from repro.runtime import chain_hooks
-
-    with live_service(tmp_path / "state",
-                      progress=chain_hooks(plan, rec),
+    with live_service(tmp_path / "state", progress=rec, faults=plan,
                       workers=2, batch_size=BATCH) as svc:
         code, body, _ = http_get(
             svc, _global_query(example_path, "&wait=1&deadline=120"),
@@ -198,10 +195,7 @@ def test_enospc_mid_build_degrades_checkpointing_not_service(
         tmp_path, example_path, baseline_bytes):
     plan = FaultPlan().exhaust_disk()
     rec = Recorder()
-    from repro.runtime import chain_hooks
-
-    with live_service(tmp_path / "state",
-                      progress=chain_hooks(plan, rec),
+    with live_service(tmp_path / "state", progress=rec, faults=plan,
                       batch_size=BATCH) as svc:
         code, body, _ = http_get(
             svc, _global_query(example_path, "&wait=1&deadline=120"),
@@ -221,7 +215,7 @@ def test_concurrent_storm_yields_only_wellformed_bounded_responses(
         tmp_path, example_path):
     plan = FaultPlan().drop_connection(3).slow_client(0.4, times=2)
     deadline = 6.0
-    with live_service(tmp_path / "state", progress=plan,
+    with live_service(tmp_path / "state", faults=plan,
                       max_inflight=4, max_queue=2,
                       default_deadline=deadline,
                       batch_size=BATCH) as svc:

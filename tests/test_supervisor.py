@@ -41,7 +41,6 @@ from repro.runtime import (
     run_reliability,
     serialize_global_result,
 )
-from repro.runtime.progress import chain_hooks
 
 # The whole battery SIGKILLs real worker processes; it runs in CI's
 # crash-injection and full-battery jobs, not in the tier-1 gate.
@@ -104,39 +103,26 @@ def segment_exists(name: str) -> bool:
 class TestKnobs:
     def test_defaults(self):
         ex = ParallelExecutor(2, graph=running_example())
-        assert ex.pump_interval == pytest.approx(0.05)
-        assert ex.abort_grace == pytest.approx(30.0)
         assert ex.task_timeout is None
         assert ex.task_cpu_timeout is None
         assert ex.max_task_retries == 2
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PUMP_INTERVAL", "0.01")
-        monkeypatch.setenv("REPRO_ABORT_GRACE", "1.5")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "7")
         monkeypatch.setenv("REPRO_TASK_CPU_TIMEOUT", "3")
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         ex = ParallelExecutor(2, graph=running_example())
-        assert ex.pump_interval == pytest.approx(0.01)
-        assert ex.abort_grace == pytest.approx(1.5)
         assert ex.task_timeout == pytest.approx(7.0)
         assert ex.task_cpu_timeout == pytest.approx(3.0)
         assert ex.max_task_retries == 5
 
     def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PUMP_INTERVAL", "0.01")
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         ex = ParallelExecutor(2, graph=running_example(),
-                              pump_interval=0.2, max_task_retries=1)
-        assert ex.pump_interval == pytest.approx(0.2)
+                              max_task_retries=1)
         assert ex.max_task_retries == 1
 
     @pytest.mark.parametrize("env,value", [
-        ("REPRO_PUMP_INTERVAL", "fast"),
-        ("REPRO_PUMP_INTERVAL", "0"),
-        ("REPRO_PUMP_INTERVAL", "-0.1"),
-        ("REPRO_ABORT_GRACE", "-1"),
-        ("REPRO_ABORT_GRACE", "soon"),
         ("REPRO_TASK_TIMEOUT", "0"),
         ("REPRO_TASK_CPU_TIMEOUT", "0"),
         ("REPRO_TASK_CPU_TIMEOUT", "never"),
@@ -149,9 +135,6 @@ class TestKnobs:
             ParallelExecutor(2, graph=running_example())
 
     @pytest.mark.parametrize("kwargs", [
-        {"pump_interval": 0},
-        {"pump_interval": "soon"},
-        {"abort_grace": -1},
         {"task_timeout": 0},
         {"task_timeout": -3},
         {"task_cpu_timeout": 0},
@@ -264,7 +247,7 @@ class TestCrashRecovery:
         disturbed = run_global(
             graph, GAMMA, method="gbu", seed=4, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=workers,
-            progress=chain_hooks(plan, recorder),
+            progress=recorder, faults=plan,
         )
         assert disturbed.complete
         assert canon(disturbed.result) == canon(undisturbed.result)
@@ -286,7 +269,7 @@ class TestCrashRecovery:
         disturbed = run_global(
             graph, GAMMA, method="gbu", seed=6, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2, checkpoint_dir=tmp_path / "ck",
-            progress=plan,
+            faults=plan,
         )
         assert disturbed.complete
         assert canon(disturbed.result) == canon(undisturbed.result)
@@ -379,7 +362,7 @@ class TestCpuStall:
         disturbed = run_global(
             graph, GAMMA, method="gbu", seed=4, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2, task_cpu_timeout=TIMEOUT,
-            progress=chain_hooks(plan, recorder),
+            progress=recorder, faults=plan,
         )
         assert disturbed.complete and not disturbed.degraded
         assert canon(disturbed.result) == canon(undisturbed.result)
@@ -437,7 +420,7 @@ class TestQuarantine:
         partial = run_global(
             graph, GAMMA, method="gbu", seed=4, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2, task_timeout=TIMEOUT,
-            max_task_retries=1, progress=plan,
+            max_task_retries=1, faults=plan,
         )
         # The run finishes — no hang, no traceback — but says exactly
         # which payload it gave up on.
@@ -460,7 +443,7 @@ class TestQuarantine:
         plan = FaultPlan().hang_task("gtd-frontier", payload_index=0,
                                      times=2)
         partial = run_global(graph, GAMMA, task_timeout=TIMEOUT,
-                             max_task_retries=1, progress=plan, **run)
+                             max_task_retries=1, faults=plan, **run)
         assert partial.complete
         assert partial.degraded
         quarantined = partial.detail["quarantined"]
@@ -495,7 +478,7 @@ class TestCorruptSegment:
                 .kill_worker(after_tasks=0))
         disturbed = run_global(
             graph, GAMMA, method="gbu", seed=7, n_samples=N_SAMPLES,
-            batch_size=BATCH, workers=2, progress=plan,
+            batch_size=BATCH, workers=2, faults=plan,
         )
         assert disturbed.complete
         assert canon(disturbed.result) == canon(undisturbed.result)
@@ -519,20 +502,22 @@ class TestSigintMidMap:
             graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2,
         )
-        # Heartbeats are pumped only while a pool map is in flight, and
-        # the spinning first payload holds the first gbu-seed map open
-        # for many pump intervals, so this fires mid-map on any machine.
+        # The second task a worker takes kills it, and supervision
+        # reports the death inside the map loop while the dead worker's
+        # payload is still pending: the interrupt lands mid-map at the
+        # same point on every machine, whatever the timing.
         plan = (FaultPlan()
-                .spin_task("gbu-seed", seconds=1.0, payload_index=0)
-                .sigint_on_phase("parallel-heartbeat"))
+                .kill_worker(after_tasks=1)
+                .sigint_on_phase("worker-died"))
         ck = tmp_path / "ck"
         with pytest.raises(ComputationInterrupted) as info:
             run_global(
                 graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
                 batch_size=BATCH, workers=2, checkpoint_dir=ck,
-                progress=plan,
+                faults=plan,
             )
         assert info.value.checkpoint_path == str(ck)
+        assert plan.fired == [("worker-died", 1)]
         assert (ck / "manifest.json").exists()
         resumed = run_global(
             graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
@@ -567,7 +552,7 @@ class TestReliabilityParallel:
         plan = FaultPlan().sigint_at("reliability-batch", 1)
         with pytest.raises(ComputationInterrupted):
             run_reliability(graph, n_samples=120, seed=12, batch_size=20,
-                            workers=2, checkpoint_dir=ck, progress=plan)
+                            workers=2, checkpoint_dir=ck, faults=plan)
         # Resume *serially* from a parallel run's checkpoint: the RNG
         # stream is shared, so the estimate must match exactly.
         resumed = run_reliability(graph, n_samples=120, seed=12,
@@ -588,7 +573,7 @@ class TestReliabilityParallel:
         partial = run_reliability(graph, n_samples=120, seed=13,
                                   batch_size=20, workers=2,
                                   task_timeout=TIMEOUT, max_task_retries=1,
-                                  progress=plan)
+                                  faults=plan)
         assert partial.complete
         assert partial.degraded
         assert partial.n_samples_drawn == 100  # one 20-row batch dropped
@@ -608,11 +593,11 @@ class TestFaultPlanExtensions:
         from repro.runtime.progress import ProgressEvent
 
         plan = FaultPlan().raise_on_phase("oracle-eval", RuntimeError)
-        plan(ProgressEvent("sample-batch", step=3))  # no-op
+        plan.check(ProgressEvent("sample-batch", step=3))  # no-op
         with pytest.raises(RuntimeError):
-            plan(ProgressEvent("oracle-eval", step=17))
+            plan.check(ProgressEvent("oracle-eval", step=17))
         # Fires once, then disarms.
-        plan(ProgressEvent("oracle-eval", step=18))
+        plan.check(ProgressEvent("oracle-eval", step=18))
         assert ("oracle-eval", 17) in plan.fired
 
     def test_pool_fault_specs_compose(self):
