@@ -28,7 +28,7 @@ from repro.exceptions import ParameterError
 from repro.graphs.components import is_connected
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.global_truss import alpha_exact
-from repro.core.global_decomp import _prune_to_structural_ktruss
+from repro.truss.decomposition import k_truss_edges
 
 __all__ = ["exact_global_decomposition", "enumerate_global_trusses"]
 
@@ -56,7 +56,7 @@ def enumerate_global_trusses(
 
     all_edges = {edge_key(u, v) for u, v in graph.edges()}
     candidate_edges = sorted(
-        _prune_to_structural_ktruss(graph, all_edges, k), key=str
+        k_truss_edges(graph, all_edges, k), key=str
     )
     m = len(candidate_edges)
     if m > _MAX_ENUM_EDGES:

@@ -38,6 +38,7 @@ from repro.graphs.sampling import WorldSampleSet, hoeffding_sample_size
 from repro.core.global_truss import GlobalTrussOracle
 from repro.core.local import LocalTrussResult, local_truss_decomposition
 from repro.parallel.supervisor import QUARANTINED
+from repro.truss.decomposition import k_truss_edges
 
 __all__ = [
     "GlobalTrussResult",
@@ -90,44 +91,9 @@ class GlobalTrussResult:
         return out
 
 
-def _prune_to_structural_ktruss(
-    graph: ProbabilisticGraph, edges: set[Edge], k: int
-) -> set[Edge]:
-    """Iteratively drop edges with < k - 2 triangles within ``edges``.
-
-    Probabilities are ignored (Algorithm 3 lines 6-7: "computed without
-    considering edge probabilities").
-    """
-    if k <= 2:
-        return set(edges)
-    adj: dict[Node, set[Node]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    need = k - 2
-    alive = set(edges)
-    frontier = list(alive)
-    while frontier:
-        next_frontier: list[Edge] = []
-        for u, v in frontier:
-            if (u, v) not in alive:
-                continue
-            common = adj[u] & adj[v]
-            if len(common) < need:
-                alive.discard((u, v))
-                adj[u].discard(v)
-                adj[v].discard(u)
-                # The co-triangle edges through each apex just lost one
-                # supporting triangle — re-examine them next round.
-                for w in common:
-                    next_frontier.append(edge_key(u, w))
-                    next_frontier.append(edge_key(v, w))
-        frontier = next_frontier
-    return alive
-
-
 def _edge_sort_key(e: Edge):
-    """Canonical edge ordering shared by every frontier/merge path."""
+    """Canonical edge ordering shared by every frontier/merge path,
+    the pool tasks of :mod:`repro.parallel.work` included."""
     return (str(e[0]), str(e[1]))
 
 
@@ -722,7 +688,7 @@ def _decomposition_levels(
         oracle.trim_level_cache(k)
         local_edges = {e for e, tau in local_result.trussness.items() if tau >= k}
         candidates = local_edges & prev_union
-        candidates = _prune_to_structural_ktruss(graph, candidates, k)
+        candidates = k_truss_edges(graph, candidates, k)
         if not candidates:
             break
         found: dict[frozenset[Edge], ProbabilisticGraph] = {}

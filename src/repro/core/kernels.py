@@ -22,7 +22,7 @@ the parallel row-block split.
 The classifier's triangle and component machinery also serves exact
 GTD: :func:`deletion_clusters` prunes and splits every single-edge
 deletion of a batch of failing states at once, with the per-deletion
-``_prune_to_structural_ktruss`` as its reference.
+:func:`~repro.truss.decomposition.k_truss_edges` as its reference.
 
 Bit layout contract (from ``np.packbits(presence, axis=0)``): sample
 ``i`` of column ``j`` lives in byte ``packed[i >> 3, j]`` at bit

@@ -44,8 +44,10 @@ pop marks the s-clique's slot in each of the other r-subcliques and
 removes its factor from their PMFs, so a later pop skips the slot
 without building a key. Each removed factor is the product the initial
 row folded in, read from the graph's adjacency in the same operand
-order, so the Eq. 8 deconvolution removes it bit for bit. Only the
-bucket queue is keyed by clique tuple.
+order, so the Eq. 8 deconvolution removes it bit for bit. The level
+queue (:class:`~repro.truss.decomposition.LevelQueue`, the one every
+peel pops from) holds cell ids as well, so a pop yields an id; only the
+sibling lookup of a retiring s-clique builds a clique key.
 
 All factor orderings here are canonical (apexes in
 :func:`~repro.truss.nucleus.clique_key` order), and every initial PMF
@@ -64,6 +66,7 @@ from itertools import combinations
 from repro.core.support_prob import SupportProbability, support_pmfs
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
+from repro.truss.decomposition import LevelQueue
 from repro.truss.nucleus import (
     apex_candidates,
     clique_key,
@@ -88,48 +91,6 @@ _METHODS = ("dp", "baseline")
 #: large synthetic networks, large enough to keep the hook off the
 #: per-clique hot path.
 _PROGRESS_INTERVAL = 64
-
-
-class _LevelBuckets:
-    """Bucket queue over r-cliques keyed by level (levels only decrease).
-
-    ``level`` maps every still-queued clique to its current level; the
-    queue takes it over from the caller. Buckets are
-    insertion-ordered dicts rather than sets: pops are last-in-first-out,
-    so the peel order — and with it the order of the score dict — is
-    the same in every process, whatever ``PYTHONHASHSEED``.
-    """
-
-    def __init__(self, levels: dict[Clique, int]):
-        self.level = levels
-        top = max(levels.values(), default=1)
-        self._buckets: list[dict[Clique, None]] = [
-            {} for _ in range(top + 1)]
-        for cell, lvl in levels.items():
-            self._buckets[lvl][cell] = None
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self.level)
-
-    def pop_min(self) -> tuple[Clique, int]:
-        """Remove and return a (clique, level) pair of minimum level."""
-        while not self._buckets[self._cursor]:
-            self._cursor += 1
-        cell, _ = self._buckets[self._cursor].popitem()
-        del self.level[cell]
-        return cell, self._cursor
-
-    def update(self, cell: Clique, new_level: int) -> None:
-        """Lower the level of ``cell`` to ``new_level`` (no-op if not lower)."""
-        old = self.level.get(cell)
-        if old is None or new_level >= old:
-            return
-        del self._buckets[old][cell]
-        self.level[cell] = new_level
-        self._buckets[new_level][cell] = None
-        if new_level < self._cursor:
-            self._cursor = new_level
 
 
 def _node_sort_key(w):
@@ -322,8 +283,8 @@ def nucleus_decomposition(
     dead = bytearray(offsets[-1])
 
     # Algorithm 2 for every cell up front: one row-batched DP per apex
-    # count. The levels are built in `cells` order whatever the
-    # grouping, because the bucket queue pops in insertion order.
+    # count. The levels are built in id order whatever the grouping,
+    # because the level queue pops in insertion order.
     groups: dict[int, list[int]] = {}
     for i in ids.values():  # the ids' own int objects: no copies
         groups.setdefault(len(apexes[i]), []).append(i)
@@ -333,8 +294,8 @@ def nucleus_decomposition(
                 for i in group]
         for i, qs, pmf in zip(group, rows, support_pmfs(rows)):
             pmfs[i] = SupportProbability.from_factors(qs, pmf)
-    queue = _LevelBuckets({cell: pmfs[i].level(gamma, probs[i])
-                           for i, cell in enumerate(cells)})
+    queue = LevelQueue({i: pmfs[i].level(gamma, probs[i])
+                        for i in ids.values()})
     scores: dict[Clique, int] = {}
     k = 1
     while queue:
@@ -355,13 +316,13 @@ def nucleus_decomposition(
                     except AttributeError:  # exceptions with __slots__
                         pass
                 raise
-        cell, lvl = queue.pop_min()
+        i, lvl = queue.pop_min()
+        cell = cells[i]
         # Running max mirrors the truss peel: a clique whose level
         # cascaded below the current stage still met the stage-k
         # stability condition when stage k began, so nu = k.
         k = max(k, lvl)
         scores[cell] = k
-        i = ids[cell]
         first = offsets[i]
         affected: list[int] = []
         for j, x in enumerate(apexes[i]):
@@ -390,7 +351,7 @@ def nucleus_decomposition(
         # Refresh levels; shedding a support only lowers the tail
         # pointwise, so levels only decrease.
         for other in affected:
-            queue.update(cells[other], pmfs[other].level(gamma, probs[other]))
+            queue.lower(other, pmfs[other].level(gamma, probs[other]))
     return NucleusResult(graph=graph, r=r, s=s, gamma=gamma, scores=scores,
                          method=method)
 

@@ -57,10 +57,6 @@ class _WorkerCancelled(Exception):
     """Internal: the parent set the cancel flag; abandon the task."""
 
 
-def _edge_sort_key(e):
-    return (str(e[0]), str(e[1]))
-
-
 class WorkerState:
     """Per-process execution state shared by all tasks of one worker.
 
@@ -153,7 +149,11 @@ def _gbu_seed(state: WorkerState, payload):
     seed_idx)`` — the per-seed RNG stream that makes the evaluation
     independent of scheduling.
     """
-    from repro.core.global_decomp import _extend_to_maximal, _grow_candidate
+    from repro.core.global_decomp import (
+        _edge_sort_key,
+        _extend_to_maximal,
+        _grow_candidate,
+    )
 
     comp_edges, seed_edge, k, gamma, entropy = payload
     component = state.component(tuple(map(tuple, comp_edges)))
@@ -192,6 +192,7 @@ def _gtd_frontier(state: WorkerState, payload):
     merge (shard-index order, then within-shard candidate order) is
     therefore identical for every shard boundary and worker count.
     """
+    from repro.core.global_decomp import _edge_sort_key
     from repro.runtime.progress import ProgressEvent
 
     comp_edges, shard, k, gamma = payload

@@ -137,6 +137,13 @@ class _Run:
     def __init__(self, kind: str, params: dict, *, graph, budget, progress,
                  faults: FaultPlan | None, checkpoint_dir, resume: bool,
                  on_corrupt: str, seed=None):
+        if progress is not None and not callable(progress):
+            # A fault plan here would leave its pool and disk faults
+            # unarmed; it belongs in faults=.
+            raise ParameterError(
+                f"progress must be a callable hook or None, got "
+                f"{type(progress).__name__}"
+            )
         self.kind = kind
         self.params = params
         self.budget = budget

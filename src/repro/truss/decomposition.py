@@ -16,53 +16,76 @@ from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.truss.support import edge_supports
 
-__all__ = ["truss_decomposition", "is_k_truss", "k_truss_subgraph", "max_trussness"]
+__all__ = [
+    "LevelQueue",
+    "truss_decomposition",
+    "is_k_truss",
+    "k_truss_edges",
+    "k_truss_subgraph",
+    "max_trussness",
+]
 
 Node = Hashable
 Edge = tuple[Node, Node]
 
 
-class _BucketQueue:
-    """Monotone bucket queue over (edge, level) pairs.
+class LevelQueue:
+    """Monotone bucket queue over ``{item: level}``: the bin-sort
+    structure of [Wang & Cheng 2012] that every peel pops from.
 
-    Levels only decrease by 1 per triangle removal, so a plain list of
-    buckets with a moving cursor gives O(1) amortised operations — the
-    bin-sort structure of [Wang & Cheng 2012]. Buckets are
-    insertion-ordered dicts rather than sets, so the pop order does not
-    depend on ``PYTHONHASHSEED``.
+    The queue takes over ``levels`` and keeps it as :attr:`level`, the
+    current level of every still-queued item (popped items leave it).
+    Levels only go down, so a list of buckets with a moving cursor
+    gives O(1) amortised operations. Buckets are insertion-ordered
+    dicts rather than sets and pop last-in-first-out, so the pop order
+    does not depend on ``PYTHONHASHSEED``.
     """
 
-    def __init__(self, levels: dict[Edge, int]):
-        self._level = dict(levels)
-        max_level = max(levels.values(), default=0)
-        self._buckets: list[dict[Edge, None]] = [
-            {} for _ in range(max_level + 1)]
-        for e, lvl in levels.items():
-            self._buckets[lvl][e] = None
+    def __init__(self, levels: dict):
+        self.level = levels
+        top = max(levels.values(), default=0)
+        self._buckets: list[dict] = [{} for _ in range(top + 1)]
+        for item, lvl in levels.items():
+            self._buckets[lvl][item] = None
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._level)
+        return len(self.level)
 
-    def pop_min(self) -> tuple[Edge, int]:
-        """Remove and return an (edge, level) pair of minimum level."""
+    def pop_min(self) -> tuple:
+        """Remove and return an (item, level) pair of minimum level."""
         while not self._buckets[self._cursor]:
             self._cursor += 1
-        e, _ = self._buckets[self._cursor].popitem()
-        del self._level[e]
-        return e, self._cursor
+        item, _ = self._buckets[self._cursor].popitem()
+        del self.level[item]
+        return item, self._cursor
 
-    def decrement(self, e: Edge, floor: int) -> None:
-        """Decrease the level of ``e`` by one, but never below ``floor``."""
-        lvl = self._level.get(e)
-        if lvl is None or lvl <= floor:
+    def lower(self, item, new_level: int) -> None:
+        """Lower the level of ``item`` to ``new_level``; a no-op if the
+        item was popped or ``new_level`` is not lower."""
+        old = self.level.get(item)
+        if old is None or new_level >= old:
             return
-        del self._buckets[lvl][e]
-        lvl -= 1
-        self._level[e] = lvl
-        self._buckets[lvl][e] = None
-        if lvl < self._cursor:
-            self._cursor = lvl
+        del self._buckets[old][item]
+        self.level[item] = new_level
+        self._buckets[new_level][item] = None
+        if new_level < self._cursor:
+            self._cursor = new_level
+
+    def decrement(self, item, floor: int) -> None:
+        """Lower the level of ``item`` by one, but never below ``floor``;
+        a no-op if the item was popped. The structural peels take this
+        step once per destroyed s-clique, so it is one call rather than
+        a :attr:`level` read plus :meth:`lower`."""
+        old = self.level.get(item)
+        if old is None or old <= floor:
+            return
+        del self._buckets[old][item]
+        old -= 1
+        self.level[item] = old
+        self._buckets[old][item] = None
+        if old < self._cursor:
+            self._cursor = old
 
 
 def truss_decomposition(graph: ProbabilisticGraph) -> dict[Edge, int]:
@@ -74,7 +97,7 @@ def truss_decomposition(graph: ProbabilisticGraph) -> dict[Edge, int]:
     """
     work = graph.copy()
     supports = edge_supports(work)
-    queue = _BucketQueue(supports)
+    queue = LevelQueue(supports)
     trussness: dict[Edge, int] = {}
     k = 2
     while queue:
@@ -110,6 +133,44 @@ def is_k_truss(graph: ProbabilisticGraph, k: int) -> bool:
     return all(
         len(graph.common_neighbors(u, v)) >= k - 2 for u, v in graph.edges()
     )
+
+
+def k_truss_edges(
+    graph: ProbabilisticGraph, edges: set[Edge], k: int
+) -> set[Edge]:
+    """The maximal structural k-truss within ``edges``: iteratively drop
+    the edges with fewer than ``k - 2`` triangles inside the set.
+
+    ``edges`` must be :func:`~repro.graphs.probabilistic.edge_key`
+    tuples of ``graph``. Probabilities are ignored (Algorithm 3 lines
+    6-7: "computed without considering edge probabilities").
+    """
+    if k <= 2:
+        return set(edges)
+    adj: dict[Node, set[Node]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    need = k - 2
+    alive = set(edges)
+    frontier = list(alive)
+    while frontier:
+        next_frontier: list[Edge] = []
+        for u, v in frontier:
+            if (u, v) not in alive:
+                continue
+            common = adj[u] & adj[v]
+            if len(common) < need:
+                alive.discard((u, v))
+                adj[u].discard(v)
+                adj[v].discard(u)
+                # The co-triangle edges through each apex just lost one
+                # supporting triangle — re-examine them next round.
+                for w in common:
+                    next_frontier.append(edge_key(u, w))
+                    next_frontier.append(edge_key(v, w))
+        frontier = next_frontier
+    return alive
 
 
 def k_truss_subgraph(graph: ProbabilisticGraph, k: int) -> ProbabilisticGraph:

@@ -27,6 +27,7 @@ from collections.abc import Hashable
 from repro.exceptions import EdgeNotFoundError, ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.support_prob import SupportProbability
+from repro.truss.decomposition import k_truss_edges
 
 __all__ = ["DynamicTruss", "DynamicLocalTruss"]
 
@@ -54,8 +55,7 @@ class DynamicTruss:
             raise ParameterError(f"k must be at least 2, got {k}")
         self._graph = graph.copy()
         self._k = k
-        self._truss: set[Edge] = set()
-        self._rebuild_from(set(self._graph.edges()))
+        self._truss = k_truss_edges(self._graph, set(self._graph.edges()), k)
 
     # ------------------------------------------------------------------
     @property
@@ -94,27 +94,6 @@ class DynamicTruss:
             if edge_key(u, w) in edges and edge_key(v, w) in edges
         )
 
-    def _reduce(self, candidates: set[Edge]) -> set[Edge]:
-        """Iteratively drop under-supported edges from ``candidates``."""
-        need = self._k - 2
-        alive = set(candidates)
-        queue = deque(alive)
-        while queue:
-            e = queue.popleft()
-            if e not in alive:
-                continue
-            if self._support_within(e, alive) < need:
-                alive.discard(e)
-                u, v = e
-                for w in self._graph.common_neighbors(u, v):
-                    for other in (edge_key(u, w), edge_key(v, w)):
-                        if other in alive:
-                            queue.append(other)
-        return alive
-
-    def _rebuild_from(self, candidates: set[Edge]) -> None:
-        self._truss = self._reduce(candidates)
-
     def _affected_region(self, u: Node, v: Node) -> set[Edge]:
         """All current graph edges connected (via shared nodes) to {u, v}."""
         region: set[Edge] = set()
@@ -152,7 +131,7 @@ class DynamicTruss:
         self._graph.add_edge(u, v, probability)
         region = self._affected_region(u, v)
         self._truss -= region
-        self._truss |= self._reduce(region)
+        self._truss |= k_truss_edges(self._graph, region, self._k)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge (u, v); evictions cascade incrementally."""

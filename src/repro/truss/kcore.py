@@ -13,6 +13,7 @@ from collections.abc import Hashable
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
+from repro.truss.decomposition import LevelQueue
 
 __all__ = ["core_decomposition", "k_core_subgraph", "max_core_number"]
 
@@ -21,37 +22,15 @@ Node = Hashable
 
 def core_decomposition(graph: ProbabilisticGraph) -> dict[Node, int]:
     """Return the core number of every node, in O(m) bucket-peeling time."""
-    degree = {u: graph.degree(u) for u in graph.nodes()}
-    if not degree:
-        return {}
-    max_degree = max(degree.values())
-    # Insertion-ordered dict buckets, not sets: the pop order, and with
-    # it the order of the result, does not depend on PYTHONHASHSEED.
-    buckets: list[dict[Node, None]] = [{} for _ in range(max_degree + 1)]
-    for u, d in degree.items():
-        buckets[d][u] = None
-
+    queue = LevelQueue({u: graph.degree(u) for u in graph.nodes()})
     core: dict[Node, int] = {}
-    removed: set[Node] = set()
-    cursor = 0
     k = 0
-    for _ in range(len(degree)):
-        while not buckets[cursor]:
-            cursor += 1
-        u, _ = buckets[cursor].popitem()
-        k = max(k, cursor)
+    while queue:
+        u, deg = queue.pop_min()
+        k = max(k, deg)
         core[u] = k
-        removed.add(u)
         for v in graph.neighbors(u):
-            if v in removed:
-                continue
-            d = degree[v]
-            if d > cursor:
-                del buckets[d][v]
-                degree[v] = d - 1
-                buckets[d - 1][v] = None
-                if d - 1 < cursor:
-                    cursor = d - 1
+            queue.decrement(v, floor=deg)
     return core
 
 

@@ -29,6 +29,7 @@ from collections.abc import Collection, Hashable, Sequence
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
+from repro.truss.decomposition import LevelQueue
 
 __all__ = [
     "clique_key",
@@ -122,28 +123,16 @@ def structural_nucleus_decomposition(
     """
     validate_rs(r, s)
     cliques = enumerate_r_cliques(graph, r)
-    # Canonical apex order and insertion-ordered dict buckets: the peel
-    # order does not depend on PYTHONHASHSEED.
+    # Canonical apex order and the insertion-ordered level queue: the
+    # peel order does not depend on PYTHONHASHSEED.
     apexes = {R: clique_key(apex_candidates(graph, R)) for R in cliques}
-    supports = {R: len(apexes[R]) for R in cliques}
-
-    # The same monotone bucket-queue organisation as the truss peel:
-    # levels only ever decrease, so a list of buckets with a moving
-    # cursor gives O(1) amortised operations.
-    top = max(supports.values(), default=0)
-    buckets: list[dict[Clique, None]] = [{} for _ in range(top + 1)]
-    for R, sup in supports.items():
-        buckets[sup][R] = None
-    alive = dict(supports)
+    queue = LevelQueue({R: len(apexes[R]) for R in cliques})
+    alive = queue.level  # the r-cliques not yet peeled
 
     nucleus: dict[Clique, int] = {}
-    cursor = 0
     k = 2
-    while alive:
-        while not buckets[cursor]:
-            cursor += 1
-        R, _ = buckets[cursor].popitem()
-        sup = alive.pop(R)
+    while queue:
+        R, sup = queue.pop_min()
         k = max(k, sup + 2)
         nucleus[R] = k
         floor = k - 2
@@ -153,14 +142,7 @@ def structural_nucleus_decomposition(
             # of its r-subcliques were alive; R's death retires it.
             if all(o in alive for o in siblings):
                 for o in siblings:
-                    lvl = alive[o]
-                    if lvl <= floor:
-                        continue
-                    del buckets[lvl][o]
-                    alive[o] = lvl - 1
-                    buckets[lvl - 1][o] = None
-                    if lvl - 1 < cursor:
-                        cursor = lvl - 1
+                    queue.decrement(o, floor)
     return nucleus
 
 

@@ -13,27 +13,24 @@ from repro import (
     is_global_truss_exact,
     local_truss_decomposition,
 )
-from repro.core.global_decomp import (
-    _prune_to_structural_ktruss,
-    bottom_up_search,
-    top_down_search,
-)
+from repro.core.global_decomp import bottom_up_search, top_down_search
 from repro.graphs.generators import gnp_graph, running_example, windmill_graph
 from repro.graphs.probabilistic import edge_key
 from repro.parallel import ParallelExecutor
+from repro.truss.decomposition import k_truss_edges
 from tests.conftest import random_probabilistic_graph
 
 
 class TestStructuralPruning:
     def test_k2_keeps_everything(self, k4):
         edges = set(k4.edges())
-        assert _prune_to_structural_ktruss(k4, edges, 2) == edges
+        assert k_truss_edges(k4, edges, 2) == edges
 
     def test_prunes_pendant(self):
         g = ProbabilisticGraph(
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
         )
-        pruned = _prune_to_structural_ktruss(g, set(g.edges()), 3)
+        pruned = k_truss_edges(g, set(g.edges()), 3)
         assert (2, 3) not in pruned
         assert len(pruned) == 3
 
@@ -42,7 +39,7 @@ class TestStructuralPruning:
         g = ProbabilisticGraph(
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
         )
-        assert _prune_to_structural_ktruss(g, set(g.edges()), 3) == set()
+        assert k_truss_edges(g, set(g.edges()), 3) == set()
 
 
 class TestPaperExampleDecomposition:

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.core.global_decomp import (
     _canonical_edge_list,
     _frontier_shards,
-    _prune_to_structural_ktruss,
     global_truss_decomposition,
 )
 from repro.exceptions import CheckpointError, ComputationInterrupted
@@ -42,6 +41,7 @@ from repro.graphs.sampling import WorldSampleSet
 from repro.parallel import ParallelExecutor
 from repro.runtime import FaultPlan, run_global, serialize_global_result
 from repro.runtime.checkpoint import CheckpointStore
+from repro.truss.decomposition import k_truss_edges
 
 N_SAMPLES = 64
 BATCH = 32
@@ -135,7 +135,7 @@ class TestFrontierSharding:
         generated = 0
         for cand in shard:
             for dropped in cand:
-                pruned = _prune_to_structural_ktruss(
+                pruned = k_truss_edges(
                     graph, set(cand) - {dropped}, 3)
                 for cluster in edge_connected_components(graph, pruned):
                     closure.add(frozenset(cluster))

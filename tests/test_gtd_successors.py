@@ -3,7 +3,7 @@
 ``kernels.deletion_clusters`` expands the failing states of a
 ``gtd-frontier`` shard (Algorithm 4) in one batched pass. The
 reference it replaced handles one single-edge deletion at a time:
-``_prune_to_structural_ktruss``, then ``edge_connected_components``,
+``k_truss_edges``, then ``edge_connected_components``,
 then a sort by the canonical edge key. These tests pin the two to the
 same successor lists, content and order:
 
@@ -33,15 +33,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.global_decomp import (
-    _edge_sort_key as _sort_key,
-    _prune_to_structural_ktruss,
-)
+from repro.core.global_decomp import _edge_sort_key as _sort_key
 from repro.graphs.components import edge_connected_components
 from repro.graphs.generators import complete_graph, planted_truss_graph
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.graphs.sampling import WorldSampleSet
 from repro.parallel import ParallelExecutor
+from repro.truss.decomposition import k_truss_edges
 
 NODE_KINDS = {
     "int": lambda i: i,
@@ -79,7 +77,7 @@ def _reference(candidate, k):
     everything = {edge_key(u, v) for u, v in candidate.edges()}
     seen, out = set(), []
     for e in candidate.edges():
-        pruned = _prune_to_structural_ktruss(
+        pruned = k_truss_edges(
             candidate, everything - {edge_key(*e)}, k)
         if not pruned or frozenset(pruned) in seen:
             continue
@@ -178,7 +176,7 @@ class TestFrontierTask:
             everything = {edge_key(u, v) for u, v in candidate.edges()}
             successors = []
             for e in candidate.edges():
-                pruned = _prune_to_structural_ktruss(
+                pruned = k_truss_edges(
                     candidate, everything - {edge_key(*e)}, k)
                 clusters = [sorted(c, key=_sort_key) for c in
                             edge_connected_components(candidate, pruned)]

@@ -319,17 +319,19 @@ class TestBatchedInitOrder:
 
         seen = []
 
-        class Capture(engine._LevelBuckets):
+        class Capture(engine.LevelQueue):
             def __init__(self, levels):
                 seen.append(list(levels))
                 super().__init__(levels)
 
-        monkeypatch.setattr(engine, "_LevelBuckets", Capture)
+        monkeypatch.setattr(engine, "LevelQueue", Capture)
         for g, families in interleaved_apex_graphs().values():
             for r, s in families:
                 seen.clear()
                 nucleus_decomposition(g, r, s, 0.3)
-                assert seen == [enumerate_r_cliques(g, r)]
+                # Keyed by cell id, in enumeration order.
+                n = len(enumerate_r_cliques(g, r))
+                assert seen == [list(range(n))]
 
     def test_score_order_is_hash_seed_independent(self):
         import os

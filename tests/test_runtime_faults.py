@@ -8,6 +8,7 @@ from repro.exceptions import (
     BudgetExceededError,
     CheckpointError,
     ComputationInterrupted,
+    ParameterError,
 )
 from repro.graphs.generators import gnp_graph, running_example
 from repro.runtime import (
@@ -47,10 +48,27 @@ class TestFaultPlan:
 
     def test_plan_is_not_a_progress_hook(self):
         # A plan passed as progress= would leave its pool and disk
-        # faults unarmed; it fails loudly at the first event instead.
+        # faults unarmed; the run refuses it before it starts.
         graph = gnp_graph(30, 0.3, seed=0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ParameterError, match="progress"):
             run_nucleus(graph, 2, 3, 0.3, progress=FaultPlan())
+
+    def test_plan_as_progress_is_refused_without_events(self, tmp_path):
+        # Nine edges peel under one progress interval, so no event
+        # would ever reach the plan; the store is not touched either.
+        graph = gnp_graph(8, 0.3, seed=0)
+        ck = tmp_path / "ck"
+        with pytest.raises(ParameterError, match="progress"):
+            run_nucleus(graph, 2, 3, 0.3, checkpoint_dir=ck,
+                        progress=FaultPlan())
+        assert not ck.exists()
+
+    def test_plan_as_progress_is_refused_on_finished_resume(self, tmp_path):
+        graph = gnp_graph(8, 0.3, seed=0)
+        run_nucleus(graph, 2, 3, 0.3, checkpoint_dir=tmp_path)
+        with pytest.raises(ParameterError, match="progress"):
+            run_nucleus(graph, 2, 3, 0.3, checkpoint_dir=tmp_path,
+                        resume=True, progress=FaultPlan())
 
     def test_chaining(self):
         plan = (FaultPlan()

@@ -14,6 +14,7 @@ from repro import (
     truss_hierarchy,
 )
 from repro.graphs.generators import complete_graph
+from repro.truss.decomposition import LevelQueue
 from repro.truss.support import support_of_edge, triangle_count
 
 
@@ -216,3 +217,119 @@ class TestPeelOrderAcrossHashSeeds:
             )
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+#: sha256 of ``repr(list(result.items()))`` per peel, recorded from the
+#: bucket-queue implementations that preceded ``LevelQueue`` (identical
+#: under PYTHONHASHSEED 0 and 1). The structural peels run on the
+#: string-node graph of :func:`structural_peel_orders`; ``engine-rs-*``
+#: is ``nucleus_decomposition(g, r, s, 0.3).scores`` on that graph
+#: (``str``) and on the int-node fruitfly graph it relabels (``int``).
+PINNED_ORDER_DIGESTS = {
+    "truss": "da2f0b6ddc11407a5733608f19d5bd6227f15d36ac6fe121df70d1fe92d16365",
+    "core": "25dc1ad354b7987d77f7d4e43e0f6b792f0f94fa98d353e180bd839316c12cec",
+    "eta-core": "323ea8829d171ef2d1d5b9745de48295e5e3b51cd2ac8e2ed04bfd24512308dd",
+    "nucleus": "911b9a067b6f21875131105da4a3648b16ea44bbcb52cc6cb1bdf8dba3b4087e",
+    "nucleus-34": "fcb10fce26958b8c0a050cd6b7f45b1a0d39f28320c008c6726654ef879b2732",
+    "engine-12-int": "e013df6ac03c28e0740e25cb7c4fb1628c2780d752199485aa7bea92ef83bdba",
+    "engine-23-int": "11e74f7c2fa01fa3769bc4ee70af02ee6aea7db2d15c0eadbaa0f7ad7d9ef644",
+    "engine-34-int": "824be87ebe5e7aa97a5553c4564183eca19ec76f842f7d55df0968463132723a",
+    "engine-12-str": "9c18a0b5ebd5bffc6b8a6ddc5069685208f5808b2e8cc9ed76304ca6ecd9b11b",
+    "engine-23-str": "510fddaa4344d8c626f55e6c8f6a5f9629498a9e7ec91169473914c41eb4ee30",
+    "engine-34-str": "990cd65502dec0d8471a746e12d6b0c290dd2bfb6f00037ce07c25bde10d7456",
+}
+
+
+class TestPinnedPeelOrder:
+    def test_item_order_matches_pinned_digests(self):
+        # Same items in the same order as the recorded peels, not just
+        # the same values: the order is what checkpoints and partial
+        # results expose.
+        import hashlib
+
+        from repro.core.nucleus import nucleus_decomposition
+        from repro.datasets.registry import load_dataset
+
+        items = structural_peel_orders()
+        ints = load_dataset("fruitfly", seed=1, scale=0.3)
+        strs = ProbabilisticGraph(
+            (f"n{u}", f"n{v}", p) for u, v, p in ints.edges_with_probabilities()
+        )
+        for name, g in (("int", ints), ("str", strs)):
+            for r, s in ((1, 2), (2, 3), (3, 4)):
+                result = nucleus_decomposition(g, r, s, 0.3)
+                items[f"engine-{r}{s}-{name}"] = list(result.scores.items())
+        digests = {name: hashlib.sha256(repr(rows).encode()).hexdigest()
+                   for name, rows in items.items()}
+        assert digests == PINNED_ORDER_DIGESTS
+
+
+class TestLevelQueue:
+    def test_pops_are_lifo_within_a_level(self):
+        q = LevelQueue({"a": 1, "b": 0, "c": 1, "d": 0})
+        assert [q.pop_min() for _ in range(4)] == [
+            ("d", 0), ("b", 0), ("c", 1), ("a", 1)]
+        assert len(q) == 0
+
+    def test_level_is_the_taken_over_dict(self):
+        levels = {"a": 2, "b": 1}
+        q = LevelQueue(levels)
+        assert q.level is levels
+        q.pop_min()
+        assert levels == {"a": 2}
+
+    def test_lower_ignores_popped_items(self):
+        q = LevelQueue({"a": 0, "b": 3})
+        assert q.pop_min() == ("a", 0)
+        q.lower("a", 0)
+        assert "a" not in q.level
+        assert q.pop_min() == ("b", 3)
+        assert not q
+
+    def test_lower_ignores_levels_that_are_not_lower(self):
+        q = LevelQueue({"a": 2, "b": 2})
+        q.lower("a", 2)
+        q.lower("a", 3)
+        assert q.level == {"a": 2, "b": 2}
+        # Unmoved, "a" keeps its place under "b".
+        assert [q.pop_min() for _ in range(2)] == [("b", 2), ("a", 2)]
+
+    def test_lower_can_go_below_the_cursor(self):
+        q = LevelQueue({"a": 1, "b": 3, "c": 3})
+        assert q.pop_min() == ("a", 1)
+        assert q.pop_min() == ("c", 3)
+        q.lower("b", 0)
+        assert q.pop_min() == ("b", 0)
+
+    def test_moved_items_pop_first_in_their_new_level(self):
+        q = LevelQueue({"a": 1, "b": 1, "c": 2})
+        q.lower("c", 1)
+        assert q.pop_min() == ("c", 1)
+        q = LevelQueue({"a": 1, "b": 1, "c": 2})
+        q.decrement("c", floor=0)
+        assert q.pop_min() == ("c", 1)
+
+    def test_decrement_stops_at_the_floor(self):
+        q = LevelQueue({"a": 3, "b": 0})
+        q.decrement("a", floor=1)
+        assert q.level["a"] == 2
+        q.decrement("a", floor=1)
+        q.decrement("a", floor=1)
+        assert q.level["a"] == 1
+        q.decrement("b", floor=0)
+        assert q.level["b"] == 0
+
+    def test_decrement_ignores_popped_items(self):
+        q = LevelQueue({"a": 0, "b": 2})
+        q.pop_min()
+        q.decrement("a", floor=-1)
+        assert q.level == {"b": 2}
+
+    def test_empty_queue(self):
+        q = LevelQueue({})
+        assert len(q) == 0 and not q
+        q.lower("x", 0)
+        q.decrement("x", floor=0)
+        assert q.level == {}
+        with pytest.raises(IndexError):
+            q.pop_min()
