@@ -68,19 +68,6 @@ def _bron_kerbosch_max(adj: dict[Node, set[Node]]) -> set[Node]:
     return best
 
 
-def _truss_filtered_adjacency(
-    graph: ProbabilisticGraph, min_trussness: int
-) -> dict[Node, set[Node]]:
-    """Adjacency restricted to edges with trussness >= ``min_trussness``."""
-    tau = truss_decomposition(graph)
-    adj: dict[Node, set[Node]] = {}
-    for (u, v), t in tau.items():
-        if t >= min_trussness:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-    return adj
-
-
 def maximum_clique(
     graph: ProbabilisticGraph, use_truss_pruning: bool = True
 ) -> set[Node]:

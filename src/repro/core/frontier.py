@@ -10,9 +10,11 @@ profile:
                      (k, gamma)-truss,
 
 for k = 2 .. k_struct_max. The frontier answers *any* (k, gamma) query
-in O(1) per edge after one O(k_max) sweep of max-min peels, and exposes
-the trade-off curve each edge lives on (how much probability mass it
-must give up for one more unit of cohesion).
+in O(1) per edge after one max-min peel per k, and exposes the
+trade-off curve each edge lives on (how much probability mass it must
+give up for one more unit of cohesion). Of the two peel drivers over
+the engine's one retirement step (:mod:`repro.core.nucleus`), it runs
+the value-keyed one, from edge PMFs built once per graph.
 
 Frontier rows are non-increasing in k (a (k+1, gamma)-truss is a
 (k, gamma)-truss), which the property tests pin down.
@@ -21,12 +23,12 @@ Frontier rows are non-increasing in k (a (k+1, gamma)-truss is a
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import ParameterError
 from repro.graphs.components import edge_connected_components
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.gamma_decomp import gamma_truss_decomposition
+from repro.core.nucleus import _CellState, _max_min_peel
 from repro.truss.decomposition import truss_decomposition
 
 __all__ = ["TrussFrontier", "truss_frontier"]
@@ -54,7 +56,6 @@ class TrussFrontier:
     graph: ProbabilisticGraph
     frontier: dict[Edge, list[float]]
     k_max: int
-    _structural: dict[Edge, int] = field(default_factory=dict, repr=False)
 
     def gamma_at(self, u: Node, v: Node, k: int) -> float:
         """Return ``gamma_k((u, v))`` (0.0 beyond the feasible range)."""
@@ -104,24 +105,22 @@ class TrussFrontier:
 def truss_frontier(graph: ProbabilisticGraph) -> TrussFrontier:
     """Compute the full (k, gamma) truss frontier of ``graph``.
 
-    One max-min peel (:func:`gamma_truss_decomposition`) per feasible k;
-    k ranges from 2 to the graph's *structural* k_max (beyond which
-    every gamma-trussness is 0). Rows are clipped to be non-increasing
-    in k, absorbing float dust at level boundaries.
+    One max-min peel per feasible k, from k = 2 to the graph's
+    *structural* k_max (beyond which every gamma-trussness is 0). The
+    edges and their initial PMFs are built once; each peel runs on its
+    own copy of the PMFs and death marks. Rows are clipped to be
+    non-increasing in k, absorbing float dust at level boundaries.
     """
     structural = truss_decomposition(graph)
     k_max = max(structural.values(), default=0)
     frontier: dict[Edge, list[float]] = {
         edge_key(u, v): [] for u, v in graph.edges()
     }
+    cells = _CellState(graph, 2)
     for k in range(2, k_max + 1):
-        result = gamma_truss_decomposition(graph, k)
-        for e, value in result.gamma_trussness.items():
+        for e, value in _max_min_peel(cells.fork(), k).items():
             row = frontier[e]
             if row and value > row[-1]:
                 value = row[-1]  # enforce monotonicity against dust
             row.append(value)
-    return TrussFrontier(
-        graph=graph, frontier=frontier, k_max=k_max,
-        _structural=structural,
-    )
+    return TrussFrontier(graph=graph, frontier=frontier, k_max=k_max)

@@ -9,12 +9,12 @@ belongs to some local (k, gamma)-truss; call it the edge's
     gamma_k(e) = max over subgraphs H containing e of
                  min over e' in H of  Pr[sup_H(e') >= k-2] * p(e').
 
-This module solves it with the same peeling framework as Algorithm 1,
-but peeling by the *value* ``sigma(e, k-2) p(e)`` instead of by level:
-repeatedly remove the edge of minimum current value; the running
-maximum of removed values at the time each edge is peeled is exactly its
-gamma-trussness (the standard max-min peeling argument, as in
-densest-subgraph / onion decompositions).
+This module is the ``(2, 3)`` instance of the value-keyed driver of
+:mod:`repro.core.nucleus`: it shares the retirement step of Algorithm
+1's level-keyed peel, but pops by the *value* ``sigma(e, k-2) p(e)``.
+The running maximum of popped values when an edge pops is exactly its
+gamma-trussness (the max-min peeling argument, as in densest-subgraph
+and onion decompositions).
 
 Given the map, the maximal local (k, gamma)-trusses for *any* gamma are
 the edge-connected clusters of ``{e : gamma_k(e) >= gamma}`` — no
@@ -23,15 +23,13 @@ re-decomposition needed per gamma.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.exceptions import ParameterError
 from repro.graphs.components import edge_connected_components
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.support_prob import SupportProbability
+from repro.core.nucleus import _CellState, _max_min_peel
 
 __all__ = ["GammaTrussResult", "gamma_truss_decomposition"]
 
@@ -100,61 +98,12 @@ def gamma_truss_decomposition(
 ) -> GammaTrussResult:
     """Compute the gamma-trussness of every edge at truss order ``k``.
 
-    Max-min peeling: maintain each edge's current value
-    ``sigma(e, k-2) * p(e)`` (updated with the Eq. 8 deconvolution as
-    triangles disappear), repeatedly remove the minimum-value edge, and
-    assign it the running maximum of removal values. Runs in
-    O(m log m + triangle updates) — the heap replaces Algorithm 1's
-    bucket queue because values are reals, not integers.
+    Max-min peeling: repeatedly retire the edge of least
+    ``sigma(e, k-2) * p(e)`` (Eq. 8 updates as its triangles go) and
+    assign it the running maximum of retired values, in
+    O(m log m + triangle updates).
     """
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
-    work = graph.copy()
-    pmfs: dict[Edge, SupportProbability] = {}
-    values: dict[Edge, float] = {}
-    for u, v, p in work.edges_with_probabilities():
-        e = (u, v)
-        sp = SupportProbability.from_edge(work, u, v)
-        pmfs[e] = sp
-        values[e] = sp.tail(k - 2) * p
-
-    # Lazy-deletion heap; counter breaks value ties without comparing
-    # edge keys (nodes may be of mixed types).
-    counter = itertools.count()
-    heap = [(value, next(counter), e) for e, value in values.items()]
-    heapq.heapify(heap)
-    alive = set(values)
-    gamma_trussness: dict[Edge, float] = {}
-    running = 0.0
-    while alive:
-        value, _, e = heapq.heappop(heap)
-        if e not in alive or value > values[e] + 1e-18:
-            continue  # stale entry
-        alive.discard(e)
-        running = max(running, values[e])
-        gamma_trussness[e] = running
-        u, v = e
-        apexes = list(work.common_neighbors(u, v))
-        for w in apexes:
-            e_uw = edge_key(u, w)
-            if e_uw in alive:
-                q = work.probability(v, u) * work.probability(v, w)
-                pmfs[e_uw].remove_triangle(q)
-            e_vw = edge_key(v, w)
-            if e_vw in alive:
-                q = work.probability(u, v) * work.probability(u, w)
-                pmfs[e_vw].remove_triangle(q)
-        work.remove_edge(u, v)
-        for w in apexes:
-            for a, b in ((u, w), (v, w)):
-                other = edge_key(a, b)
-                if other in alive:
-                    new_value = (
-                        pmfs[other].tail(k - 2) * work.probability(a, b)
-                    )
-                    if new_value < values[other]:
-                        values[other] = new_value
-                        heapq.heappush(
-                            heap, (new_value, next(counter), other)
-                        )
-    return GammaTrussResult(graph=graph, k=k, gamma_trussness=gamma_trussness)
+    gammas = _max_min_peel(_CellState(graph, 2), k)
+    return GammaTrussResult(graph=graph, k=k, gamma_trussness=gammas)

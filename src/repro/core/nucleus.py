@@ -44,10 +44,15 @@ pop marks the s-clique's slot in each of the other r-subcliques and
 removes its factor from their PMFs, so a later pop skips the slot
 without building a key. Each removed factor is the product the initial
 row folded in, read from the graph's adjacency in the same operand
-order, so the Eq. 8 deconvolution removes it bit for bit. The level
-queue (:class:`~repro.truss.decomposition.LevelQueue`, the one every
-peel pops from) holds cell ids as well, so a pop yields an id; only the
-sibling lookup of a retiring s-clique builds a clique key.
+order, so the Eq. 8 deconvolution removes it bit for bit.
+
+Two drivers pop cell ids over that one retirement step. The
+level-keyed :func:`nucleus_decomposition` pops from the
+:class:`~repro.truss.decomposition.LevelQueue` every peel uses. The
+value-keyed ``_max_min_peel`` pops the least ``tail(k - 2) * Pr[R]``
+at a fixed k from a heap, ties by id, and yields each cell's largest
+gamma; it runs :mod:`repro.core.gamma_decomp` and
+:mod:`repro.core.frontier`.
 
 All factor orderings here are canonical (apexes in
 :func:`~repro.truss.nucleus.clique_key` order), and every initial PMF
@@ -58,8 +63,10 @@ are byte-stable across processes.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from collections.abc import Hashable, Mapping
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -96,12 +103,6 @@ _PROGRESS_INTERVAL = 64
 def _node_sort_key(w):
     """Canonical cross-type node ordering for reported edge lists."""
     return (type(w).__name__, str(w))
-
-
-def _canonical_apexes(graph: ProbabilisticGraph, cell: Clique) -> Clique:
-    """The apexes of ``cell`` in canonical order: the order its support
-    factors are folded into the DP, whatever the worker count."""
-    return clique_key(apex_candidates(graph, cell))
 
 
 def clique_probability(graph: ProbabilisticGraph, cell: Clique) -> float:
@@ -218,6 +219,81 @@ def _edge_order(e: tuple) -> tuple:
     return tuple(_node_sort_key(w) for w in e)
 
 
+class _CellState:
+    """The peel's per-cell state, indexed by cell id: the cells, their
+    canonical apexes, ``Pr[R]``, the death marks and the live PMFs,
+    every initial PMF from one row-batched DP per apex count. Only
+    ``dead`` and ``pmfs`` change during a peel."""
+
+    def __init__(self, graph: ProbabilisticGraph, r: int):
+        self.cells = cells = enumerate_r_cliques(graph, r)
+        self.ids = ids = {cell: i for i, cell in enumerate(cells)}
+        self.adj = adj = graph.adjacency()
+        # Apexes in canonical order: the order the DP folds factors in.
+        self.apexes = apexes = [clique_key(apex_candidates(graph, cell))
+                                for cell in cells]
+        self.probs = [clique_probability(graph, cell) for cell in cells]
+        # dead[offsets[i] + j] marks the s-clique cells[i] + {apexes[i][j]}
+        # retired: one of its other r-subcliques has been peeled.
+        self.offsets = offsets = array("q", [0])
+        for row in apexes:
+            offsets.append(offsets[-1] + len(row))
+        self.dead = bytearray(offsets[-1])
+        groups: dict[int, list[int]] = {}
+        for i in ids.values():  # the ids' own int objects: no copies
+            groups.setdefault(len(apexes[i]), []).append(i)
+        self.pmfs = pmfs = [None] * len(cells)
+        for group in groups.values():
+            rows = [[_factor(adj[x], cells[i]) for x in apexes[i]]
+                    for i in group]
+            for i, qs, pmf in zip(group, rows, support_pmfs(rows)):
+                pmfs[i] = SupportProbability.from_factors(qs, pmf)
+
+    def fork(self) -> "_CellState":
+        """A copy that peels on its own death marks and PMFs; the rest
+        is shared, since no peel changes it."""
+        twin = copy(self)
+        twin.dead = bytearray(self.dead)
+        twin.pmfs = [pmf.copy() for pmf in self.pmfs]
+        return twin
+
+    def retire(self, i: int, method: str = "dp") -> list[int]:
+        """The retirement step both drivers share: retire every live
+        s-clique through cell ``i``, marking its slot dead in each other
+        r-subclique and removing its factor from their PMFs (Eq. 8 for
+        ``"dp"``, a full recompute for ``"baseline"``). Returns the
+        affected ids."""
+        cells, ids, adj, apexes = self.cells, self.ids, self.adj, self.apexes
+        offsets, dead, pmfs = self.offsets, self.dead, self.pmfs
+        cell = cells[i]
+        first = offsets[i]
+        affected: list[int] = []
+        for j, x in enumerate(apexes[i]):
+            if dead[first + j]:
+                continue
+            # The s-clique S = cell + {x} retires with cell: it stops
+            # supporting each sibling cell - {y} + {x}, whose factor is
+            # the product the initial row folded in for its apex y.
+            for pos, y in enumerate(cell):
+                other = ids[clique_key(cell[:pos] + cell[pos + 1:] + (x,))]
+                dead[offsets[other] + apexes[other].index(y)] = 1
+                if method == "dp":
+                    # Eq. 8 deconvolution of S's factor.
+                    pmfs[other].remove_triangle(_factor(adj[y], cells[other]))
+                affected.append(other)
+        if method == "baseline":
+            # Recompute affected PMFs from scratch with the full
+            # O(k^2) dynamic program over the still-live s-cliques.
+            for other in affected:
+                base = offsets[other]
+                pmfs[other] = SupportProbability([
+                    _factor(adj[x], cells[other])
+                    for j, x in enumerate(apexes[other])
+                    if not dead[base + j]
+                ])
+        return affected
+
+
 def nucleus_decomposition(
     graph: ProbabilisticGraph,
     r: int,
@@ -236,8 +312,7 @@ def nucleus_decomposition(
     :func:`~repro.core.local.local_truss_decomposition` is its
     ``(2, 3)`` instance and
     :func:`~repro.core.pcore.eta_core_decomposition` its ``(1, 2)``
-    instance. The initial support PMFs are computed serially
-    in this process, one batched
+    instance. The initial support PMFs come from one batched
     :func:`~repro.core.support_prob.support_pmfs` call per apex count.
 
     Parameters
@@ -269,33 +344,12 @@ def nucleus_decomposition(
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
 
-    cells = enumerate_r_cliques(graph, r)
-    n_cells = len(cells)
-    ids = {cell: i for i, cell in enumerate(cells)}
-    adj = graph.adjacency()
-    apexes = [_canonical_apexes(graph, cell) for cell in cells]
-    probs = [clique_probability(graph, cell) for cell in cells]
-    # dead[offsets[i] + j] marks the s-clique cells[i] + {apexes[i][j]}
-    # retired: one of its other r-subcliques has been peeled.
-    offsets = array("q", [0])
-    for row in apexes:
-        offsets.append(offsets[-1] + len(row))
-    dead = bytearray(offsets[-1])
-
-    # Algorithm 2 for every cell up front: one row-batched DP per apex
-    # count. The levels are built in id order whatever the grouping,
-    # because the level queue pops in insertion order.
-    groups: dict[int, list[int]] = {}
-    for i in ids.values():  # the ids' own int objects: no copies
-        groups.setdefault(len(apexes[i]), []).append(i)
-    pmfs: list[SupportProbability] = [None] * n_cells
-    for group in groups.values():
-        rows = [[_factor(adj[x], cells[i]) for x in apexes[i]]
-                for i in group]
-        for i, qs, pmf in zip(group, rows, support_pmfs(rows)):
-            pmfs[i] = SupportProbability.from_factors(qs, pmf)
+    state = _CellState(graph, r)
+    cells, pmfs, probs = state.cells, state.pmfs, state.probs
+    # Levels in id order, whatever the DP grouping: the level queue
+    # pops in insertion order.
     queue = LevelQueue({i: pmfs[i].level(gamma, probs[i])
-                        for i in ids.values()})
+                        for i in state.ids.values()})
     scores: dict[Clique, int] = {}
     k = 1
     while queue:
@@ -305,7 +359,7 @@ def nucleus_decomposition(
 
             try:
                 progress(ProgressEvent(
-                    "nucleus-peel", step=len(scores), total=n_cells,
+                    "nucleus-peel", step=len(scores), total=len(cells),
                 ))
             except Exception as err:
                 # Salvage the final scores assigned so far for callers
@@ -317,41 +371,44 @@ def nucleus_decomposition(
                         pass
                 raise
         i, lvl = queue.pop_min()
-        cell = cells[i]
         # Running max mirrors the truss peel: a clique whose level
         # cascaded below the current stage still met the stage-k
         # stability condition when stage k began, so nu = k.
         k = max(k, lvl)
-        scores[cell] = k
-        first = offsets[i]
-        affected: list[int] = []
-        for j, x in enumerate(apexes[i]):
-            if dead[first + j]:
-                continue
-            # The s-clique S = cell + {x} retires with cell: it stops
-            # supporting each sibling cell - {y} + {x}, whose factor is
-            # the product the initial row folded in for its apex y.
-            for pos, y in enumerate(cell):
-                other = ids[clique_key(cell[:pos] + cell[pos + 1:] + (x,))]
-                dead[offsets[other] + apexes[other].index(y)] = 1
-                if method == "dp":
-                    # Eq. 8 deconvolution of S's factor.
-                    pmfs[other].remove_triangle(_factor(adj[y], cells[other]))
-                affected.append(other)
-        if method == "baseline":
-            # Recompute affected PMFs from scratch with the full
-            # O(k^2) dynamic program over the still-live s-cliques.
-            for other in affected:
-                base = offsets[other]
-                pmfs[other] = SupportProbability([
-                    _factor(adj[x], cells[other])
-                    for j, x in enumerate(apexes[other])
-                    if not dead[base + j]
-                ])
+        scores[cells[i]] = k
         # Refresh levels; shedding a support only lowers the tail
         # pointwise, so levels only decrease.
-        for other in affected:
+        for other in state.retire(i, method):
             queue.lower(other, pmfs[other].level(gamma, probs[other]))
     return NucleusResult(graph=graph, r=r, s=s, gamma=gamma, scores=scores,
                          method=method)
 
+
+def _max_min_peel(state: _CellState, k: int) -> dict[Clique, float]:
+    """The value-keyed driver: each cell's largest gamma at order ``k``.
+
+    Retires the live cell of least ``tail(k - 2) * Pr[R]`` until none is
+    left; a cell's gamma is the running maximum of popped values (the
+    max-min peeling argument). The heap holds ``(value, id)`` with lazy
+    deletion, so ties pop by id; values are only lowered. Peels
+    ``state`` in place and returns ``{cell: gamma}`` in pop order.
+    """
+    t = k - 2
+    pmfs, probs = state.pmfs, state.probs
+    values = [pmf.tail(t) * p for pmf, p in zip(pmfs, probs)]
+    heap = list(zip(values, state.ids.values()))
+    heapq.heapify(heap)
+    gammas: dict[Clique, float] = {}
+    running = 0.0
+    while heap:
+        value, i = heapq.heappop(heap)
+        if value != values[i]:
+            continue  # stale: the cell was lowered since this entry
+        running = max(running, value)
+        gammas[state.cells[i]] = running
+        for other in state.retire(i):
+            lowered = pmfs[other].tail(t) * probs[other]
+            if lowered < values[other]:
+                values[other] = lowered
+                heapq.heappush(heap, (lowered, other))
+    return gammas

@@ -257,10 +257,6 @@ class SupportProbability:
             return 0.0
         return min(1.0, sum(self._pmf[t:]))
 
-    def tail_vector(self) -> list[float]:
-        """Return ``[sigma(0), ..., sigma(k_e)]``."""
-        return support_tail(self._pmf)
-
     def level(self, gamma: float, edge_probability: float) -> int:
         """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``.
 

@@ -164,21 +164,26 @@ class TestMaxTrussness:
         assert max_trussness(empty_graph) == 0
 
 
-def structural_peel_orders():
-    """``list(result.items())`` of the structural bucket-queue peels
-    ((2, 3) and (3, 4) nucleus among them) on a string-node fruitfly
-    subgraph, whose set iteration order changes with
-    ``PYTHONHASHSEED``."""
-    from repro.core.pcore import eta_core_decomposition
+def _string_fruitfly():
+    """A string-node fruitfly subgraph, whose set iteration order
+    changes with ``PYTHONHASHSEED``."""
     from repro.datasets.registry import load_dataset
-    from repro.truss.kcore import core_decomposition
-    from repro.truss.nucleus import structural_nucleus_decomposition
 
     source = load_dataset("fruitfly", seed=1, scale=0.3)
-    graph = ProbabilisticGraph(
+    return ProbabilisticGraph(
         (f"n{u}", f"n{v}", p)
         for u, v, p in source.edges_with_probabilities()
     )
+
+
+def structural_peel_orders():
+    """``list(result.items())`` of the structural bucket-queue peels
+    ((2, 3) and (3, 4) nucleus among them) on :func:`_string_fruitfly`."""
+    from repro.core.pcore import eta_core_decomposition
+    from repro.truss.kcore import core_decomposition
+    from repro.truss.nucleus import structural_nucleus_decomposition
+
+    graph = _string_fruitfly()
     return {
         "truss": list(truss_decomposition(graph).items()),
         "core": list(core_decomposition(graph).items()),
@@ -189,12 +194,31 @@ def structural_peel_orders():
     }
 
 
+def gamma_peel_orders():
+    """``list(result.items())`` of the max-min peels on
+    :func:`_string_fruitfly`: the gamma-trussness at k = 3 and 4 and
+    the truss frontier. Their reprs carry every bit of every value."""
+    from repro.core.frontier import truss_frontier
+    from repro.core.gamma_decomp import gamma_truss_decomposition
+
+    graph = _string_fruitfly()
+    gamma_3 = gamma_truss_decomposition(graph, 3).gamma_trussness
+    gamma_4 = gamma_truss_decomposition(graph, 4).gamma_trussness
+    return {
+        "gamma-3": list(gamma_3.items()),
+        "gamma-4": list(gamma_4.items()),
+        "frontier": list(truss_frontier(graph).frontier.items()),
+    }
+
+
 class TestPeelOrderAcrossHashSeeds:
-    def test_item_order_is_hash_seed_independent(self):
-        # The peels pop from insertion-ordered buckets and visit
-        # neighbours in adjacency (or canonical apex) order, so each
-        # result lists the same items in the same order in every
-        # process, not only the same values.
+    @pytest.mark.parametrize("helper", ["structural_peel_orders",
+                                        "gamma_peel_orders"])
+    def test_item_order_is_hash_seed_independent(self, helper):
+        # The peels pop from insertion-ordered buckets (or a heap tied
+        # by cell id) and visit neighbours in adjacency (or canonical
+        # apex) order, so each result lists the same items in the same
+        # order, with the same float bits, in every process.
         import os
         import pathlib
         import subprocess
@@ -202,9 +226,8 @@ class TestPeelOrderAcrossHashSeeds:
 
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         script = (
-            "from tests.test_truss_decomposition import "
-            "structural_peel_orders\n"
-            "print(structural_peel_orders())\n"
+            f"from tests.test_truss_decomposition import {helper}\n"
+            f"print({helper}())\n"
         )
         outputs = set()
         for hash_seed in ("0", "1"):
