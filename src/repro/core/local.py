@@ -15,7 +15,7 @@ Two update strategies are provided, matching the paper's Figure 5
 comparison:
 
 * ``method="dp"`` — the O(k_e) Eq. (8) deconvolution update
-  (:meth:`~repro.core.support_prob.SupportProbability.remove_triangle`);
+  (:func:`~repro.core.support_prob.deconvolve`);
 * ``method="baseline"`` — recompute the affected edge's PMF from scratch
   with the O(k_e^2) dynamic program after every removal.
 

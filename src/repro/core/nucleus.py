@@ -12,11 +12,11 @@ trials with success probability
 
     ``q_x = prod_{y in R} p(x, y)``
 
-and the *entire* Eq. 5–8 support-probability machinery of
-:class:`~repro.core.support_prob.SupportProbability` — the O(k^2)
-dynamic program, the tail scan, and the Eq. 8 O(k) deconvolution
-update — lifts unchanged: the factors are just ``q_x`` products of r
-edge probabilities instead of two.
+and the *entire* Eq. 5–8 support-probability arithmetic of
+:mod:`repro.core.support_prob` — the O(k^2) dynamic program, the level
+and tail scans, and the Eq. 8 O(k) deconvolution update — lifts
+unchanged: the factors are just ``q_x`` products of r edge
+probabilities instead of two.
 
 The *nucleus score* ``nu(R)`` is the largest k such that ``R`` belongs
 to a sub-collection ``C`` of r-cliques where every member satisfies
@@ -37,14 +37,17 @@ is also the engine behind
 The peel is id-indexed, in the manner of PKT's edge ids and triangle
 arrays: a cell's id is its position in
 :func:`~repro.truss.nucleus.enumerate_r_cliques`, and its apexes,
-``Pr[R]`` and PMF are read by id. One flat ``bytearray`` holds a death
-mark per (cell, apex slot), found through ``array("q")`` offsets. An
-s-clique retires once, when the first of its r-subcliques pops: that
-pop marks the s-clique's slot in each of the other r-subcliques and
-removes its factor from their PMFs, so a later pop skips the slot
-without building a key. Each removed factor is the product the initial
-row folded in, read from the graph's adjacency in the same operand
-order, so the Eq. 8 deconvolution removes it bit for bit.
+``Pr[R]`` and PMF are read by id. The engine holds its Eq. 8 state
+itself, with no per-cell object: a flat ``bytearray`` of death marks
+and a flat ``array("d")`` of factors, one entry each per (cell, apex
+slot), found through ``array("q")`` offsets; a plain-list PMF and one
+error bound per cell. An s-clique retires once, when the first of its
+r-subcliques pops: that pop marks the s-clique's slot in each of the
+other r-subcliques and divides the slot's stored factor, the one the
+initial row folded in, out of their PMFs, so a later pop skips the slot
+without building a key. The arithmetic is the module-level functions
+of :mod:`repro.core.support_prob`, which
+:class:`~repro.core.support_prob.SupportProbability` calls too.
 
 Two drivers pop cell ids over that one retirement step. The
 level-keyed :func:`nucleus_decomposition` pops from the
@@ -65,12 +68,22 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import Counter
 from collections.abc import Hashable, Mapping
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.support_prob import SupportProbability, support_pmfs
+from repro.core.support_prob import (
+    ERROR_LIMIT,
+    FRESH_ERROR,
+    deconvolve,
+    removal_error,
+    support_level,
+    support_pmf,
+    support_pmfs,
+    tail_at,
+)
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.truss.decomposition import LevelQueue
@@ -133,8 +146,8 @@ def apex_factor(graph: ProbabilisticGraph, cell: Clique, x: Node) -> float:
 
 def _factor(px: Mapping[Node, float], cell: Clique) -> float:
     """:func:`apex_factor` of apex ``x`` read from ``px``, x's
-    ``{neighbour: p}`` map: the same product in the same operand order,
-    so the peel's Eq. 8 removals match the initial rows bit for bit."""
+    ``{neighbour: p}`` map: the same product in the same operand
+    order."""
     q = 1.0
     for y in cell:
         q *= px[y]
@@ -221,50 +234,85 @@ def _edge_order(e: tuple) -> tuple:
 
 class _CellState:
     """The peel's per-cell state, indexed by cell id: the cells, their
-    canonical apexes, ``Pr[R]``, the death marks and the live PMFs,
-    every initial PMF from one row-batched DP per apex count. Only
-    ``dead`` and ``pmfs`` change during a peel."""
+    canonical apexes, ``Pr[R]`` and the Eq. 8 state. One flat
+    ``array("d")`` holds each (cell, apex slot)'s factor beside its death
+    mark; each cell has a plain-list PMF, every initial one from one
+    row-batched DP per apex count, and one error bound. Only ``dead``,
+    ``pmfs`` and ``errors`` change during a peel, and a PMF list is
+    replaced, never changed in place."""
 
     def __init__(self, graph: ProbabilisticGraph, r: int):
         self.cells = cells = enumerate_r_cliques(graph, r)
         self.ids = ids = {cell: i for i, cell in enumerate(cells)}
-        self.adj = adj = graph.adjacency()
+        adj = graph.adjacency()
         # Apexes in canonical order: the order the DP folds factors in.
         self.apexes = apexes = [clique_key(apex_candidates(graph, cell))
                                 for cell in cells]
         self.probs = [clique_probability(graph, cell) for cell in cells]
-        # dead[offsets[i] + j] marks the s-clique cells[i] + {apexes[i][j]}
-        # retired: one of its other r-subcliques has been peeled.
+        # Slot offsets[i] + j is the s-clique cells[i] + {apexes[i][j]}:
+        # dead marks it retired (one of its other r-subcliques has been
+        # peeled), factors holds its q_x.
         self.offsets = offsets = array("q", [0])
         for row in apexes:
             offsets.append(offsets[-1] + len(row))
         self.dead = bytearray(offsets[-1])
+        self.factors = factors = array("d", [
+            _factor(adj[x], cell)
+            for cell, row in zip(cells, apexes) for x in row])
+        self.errors = array("d", [FRESH_ERROR]) * len(cells)
         groups: dict[int, list[int]] = {}
         for i in ids.values():  # the ids' own int objects: no copies
             groups.setdefault(len(apexes[i]), []).append(i)
         self.pmfs = pmfs = [None] * len(cells)
         for group in groups.values():
-            rows = [[_factor(adj[x], cells[i]) for x in apexes[i]]
+            rows = [factors[offsets[i]:offsets[i + 1]].tolist()
                     for i in group]
-            for i, qs, pmf in zip(group, rows, support_pmfs(rows)):
-                pmfs[i] = SupportProbability.from_factors(qs, pmf)
+            for i, pmf in zip(group, support_pmfs(rows)):
+                pmfs[i] = pmf
 
     def fork(self) -> "_CellState":
-        """A copy that peels on its own death marks and PMFs; the rest
-        is shared, since no peel changes it."""
+        """A copy that peels on its own death marks, PMFs and error
+        bounds; the rest is shared, since no peel changes it. The PMF
+        lists themselves are shared too: a peel replaces them."""
         twin = copy(self)
         twin.dead = bytearray(self.dead)
-        twin.pmfs = [pmf.copy() for pmf in self.pmfs]
+        twin.pmfs = list(self.pmfs)
+        twin.errors = array("d", self.errors)
         return twin
+
+    def _live_factors(self, i: int) -> list[float]:
+        """Cell ``i``'s live factors, in the order a recompute folds them.
+
+        Per factor value, the last copies in apex order count as the
+        dead ones, whichever slots died: the multiset a removal of the
+        last equal copy leaves, in the order it leaves it (so the
+        rebuilt PMF keeps the bits of
+        :meth:`~repro.core.support_prob.SupportProbability.remove_triangle`'s
+        rebuild)."""
+        factors, dead = self.factors, self.dead
+        slots = range(self.offsets[i], self.offsets[i + 1])
+        drop = Counter(factors[j] for j in slots if dead[j])
+        live = []
+        for j in reversed(slots):
+            q = factors[j]
+            if drop[q]:
+                drop[q] -= 1
+            else:
+                live.append(q)
+        return live[::-1]
 
     def retire(self, i: int, method: str = "dp") -> list[int]:
         """The retirement step both drivers share: retire every live
         s-clique through cell ``i``, marking its slot dead in each other
-        r-subclique and removing its factor from their PMFs (Eq. 8 for
-        ``"dp"``, a full recompute for ``"baseline"``). Returns the
-        affected ids."""
-        cells, ids, adj, apexes = self.cells, self.ids, self.adj, self.apexes
-        offsets, dead, pmfs = self.offsets, self.dead, self.pmfs
+        r-subclique and removing its stored factor from their PMFs
+        (Eq. 8 for ``"dp"``, rebuilt from the live factors when the
+        error bound trips; a full recompute for ``"baseline"``).
+        Returns the affected ids."""
+        cells, ids, apexes, offsets = (self.cells, self.ids, self.apexes,
+                                       self.offsets)
+        dead, factors, pmfs, errors = (self.dead, self.factors, self.pmfs,
+                                       self.errors)
+        dp = method == "dp"
         cell = cells[i]
         first = offsets[i]
         affected: list[int] = []
@@ -272,24 +320,31 @@ class _CellState:
             if dead[first + j]:
                 continue
             # The s-clique S = cell + {x} retires with cell: it stops
-            # supporting each sibling cell - {y} + {x}, whose factor is
-            # the product the initial row folded in for its apex y.
+            # supporting each sibling cell - {y} + {x}, in its slot for
+            # apex y.
             for pos, y in enumerate(cell):
                 other = ids[clique_key(cell[:pos] + cell[pos + 1:] + (x,))]
-                dead[offsets[other] + apexes[other].index(y)] = 1
-                if method == "dp":
+                slot = offsets[other] + apexes[other].index(y)
+                dead[slot] = 1
+                if dp:
                     # Eq. 8 deconvolution of S's factor.
-                    pmfs[other].remove_triangle(_factor(adj[y], cells[other]))
+                    q = factors[slot]
+                    err = removal_error(errors[other], q)
+                    if err > ERROR_LIMIT:
+                        pmfs[other] = support_pmf(self._live_factors(other))
+                        err = FRESH_ERROR
+                    else:
+                        pmfs[other] = deconvolve(pmfs[other], q)
+                    errors[other] = err
                 affected.append(other)
-        if method == "baseline":
+        if not dp:
             # Recompute affected PMFs from scratch with the full
             # O(k^2) dynamic program over the still-live s-cliques.
             for other in affected:
-                base = offsets[other]
-                pmfs[other] = SupportProbability([
-                    _factor(adj[x], cells[other])
-                    for j, x in enumerate(apexes[other])
-                    if not dead[base + j]
+                pmfs[other] = support_pmf([
+                    factors[j] for j in range(offsets[other],
+                                              offsets[other + 1])
+                    if not dead[j]
                 ])
         return affected
 
@@ -348,7 +403,7 @@ def nucleus_decomposition(
     cells, pmfs, probs = state.cells, state.pmfs, state.probs
     # Levels in id order, whatever the DP grouping: the level queue
     # pops in insertion order.
-    queue = LevelQueue({i: pmfs[i].level(gamma, probs[i])
+    queue = LevelQueue({i: support_level(pmfs[i], gamma, probs[i])
                         for i in state.ids.values()})
     scores: dict[Clique, int] = {}
     k = 1
@@ -379,7 +434,8 @@ def nucleus_decomposition(
         # Refresh levels; shedding a support only lowers the tail
         # pointwise, so levels only decrease.
         for other in state.retire(i, method):
-            queue.lower(other, pmfs[other].level(gamma, probs[other]))
+            queue.lower(other, support_level(pmfs[other], gamma,
+                                             probs[other]))
     return NucleusResult(graph=graph, r=r, s=s, gamma=gamma, scores=scores,
                          method=method)
 
@@ -395,7 +451,7 @@ def _max_min_peel(state: _CellState, k: int) -> dict[Clique, float]:
     """
     t = k - 2
     pmfs, probs = state.pmfs, state.probs
-    values = [pmf.tail(t) * p for pmf, p in zip(pmfs, probs)]
+    values = [tail_at(pmf, t) * p for pmf, p in zip(pmfs, probs)]
     heap = list(zip(values, state.ids.values()))
     heapq.heapify(heap)
     gammas: dict[Clique, float] = {}
@@ -407,7 +463,7 @@ def _max_min_peel(state: _CellState, k: int) -> dict[Clique, float]:
         running = max(running, value)
         gammas[state.cells[i]] = running
         for other in state.retire(i):
-            lowered = pmfs[other].tail(t) * probs[other]
+            lowered = tail_at(pmfs[other], t) * probs[other]
             if lowered < values[other]:
                 values[other] = lowered
                 heapq.heappush(heap, (lowered, other))

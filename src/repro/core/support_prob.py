@@ -10,9 +10,17 @@ contributes a triangle independently with probability
 * :func:`support_pmf` — the O(k_e^2) dynamic program of Algorithm 2,
   and :func:`support_pmfs`, the same DP run on many equal-length factor
   rows at once (bit-identical per row);
-* :class:`SupportProbability` — a live PMF that supports the O(k_e)
-  *deconvolution* update of Eq. (8) when a triangle is destroyed by an
-  edge removal (the key to the efficient local decomposition);
+* the Eq. (8) arithmetic on plain PMF lists, the key to the efficient
+  local decomposition: :func:`deconvolve` divides one destroyed
+  triangle's Bernoulli factor out in O(k_e), :func:`removal_error`
+  steps the error bound that says when to rebuild instead, and
+  :func:`support_level` and :func:`tail_at` read a PMF. The peel engine
+  (:mod:`repro.core.nucleus`) keeps its PMFs, factors and bounds in its
+  own id-indexed arrays and calls these functions directly;
+* :class:`SupportProbability` — one edge's live PMF with its factor
+  multiset, for callers without such arrays (the dynamic truss, the
+  eta-degree, the public API). Its methods call the same functions, so
+  the Eq. (8) arithmetic exists once;
 * :func:`support_pmf_bruteforce` — the exponential possible-world sum of
   Eq. (2), used as a test oracle.
 
@@ -35,6 +43,10 @@ __all__ = [
     "support_pmfs",
     "support_tail",
     "support_pmf_bruteforce",
+    "deconvolve",
+    "removal_error",
+    "support_level",
+    "tail_at",
     "SupportProbability",
 ]
 
@@ -43,6 +55,12 @@ Node = Hashable
 # Probability mass below this is treated as floating-point dust when the
 # Eq. (8) deconvolution produces slightly negative values.
 _EPS = 1e-12
+
+#: The error bound of a PMF fresh from the DP, and the bound past which
+#: a removal rebuilds the PMF from its remaining factors instead of
+#: deconvolving (it would threaten the 1e-9-relative level tests).
+FRESH_ERROR = 1e-16
+ERROR_LIMIT = 1e-10
 
 
 def triangle_probabilities(
@@ -137,6 +155,110 @@ def support_tail(pmf: Sequence[float]) -> list[float]:
     return sigma
 
 
+def tail_at(pmf: Sequence[float], t: int) -> float:
+    """Return ``sigma(e, t) = Pr[sup(e) >= t | e exists]`` of ``pmf``."""
+    if t <= 0:
+        return 1.0
+    if t >= len(pmf):
+        return 0.0
+    return min(1.0, sum(pmf[t:]))
+
+
+def support_level(pmf: Sequence[float], gamma: float,
+                  edge_probability: float) -> int:
+    """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``.
+
+    This is the edge's current *local truss level*: the maximum k for
+    which the edge passes Definition 2's per-edge test against its
+    present neighbourhood. Edges with ``p(e) < gamma`` return 1 (they
+    belong to no local (k, gamma)-truss for k >= 2, since
+    ``Pr[sup >= 0] = p(e)``). ``gamma`` is not validated here.
+    """
+    # Threshold comparisons use a small *relative* slack so that
+    # probabilities sitting exactly at gamma (common in hand-built
+    # examples) survive the floating-point dust accumulated by
+    # repeated Eq. (8) deconvolutions.
+    threshold = gamma * (1.0 - 1e-9)
+    if edge_probability < threshold:
+        return 1
+    # sigma(t) is non-increasing in t, so scanning t from the top the
+    # first passing tail is the largest; t = 0 always passes because
+    # sigma(0) * p(e) = p(e) >= gamma was checked above. The tail is
+    # not clamped with min(1.0, running): once running >= 1,
+    # running * p(e) >= p(e) >= threshold (rounding is monotone), so
+    # the step passes exactly when the clamped test would.
+    running = 0.0
+    for t in range(len(pmf) - 1, 0, -1):
+        running += pmf[t]
+        if running * edge_probability >= threshold:
+            return t + 2
+    return 2
+
+
+def deconvolve(pmf: list[float], q: float) -> list[float]:
+    """Divide one Bernoulli(q) factor out of ``pmf`` (Eq. 8, O(k_e)).
+
+    ``q`` must be one of the factors ``pmf`` was folded from; ``pmf``
+    must hold at least one. Returns a new list, one shorter.
+
+    Eq. (8) as written divides by ``1 - q``, which amplifies error when
+    the removed triangle is near-certain. The same recurrence can be
+    solved from the top down, dividing by ``q`` instead, so the
+    direction with the larger divisor is taken; the amplification per
+    step is then bounded by 2. A certain triangle (``q = 1``) shifts the
+    PMF down by one; an impossible one (``q = 0``) drops the top cell.
+    """
+    n = len(pmf) - 1
+    if q >= 1.0 - 1e-15:
+        # Certain triangle: sup_old = sup_new + 1, so shift left.
+        return pmf[1:]
+    if q <= 0.0:
+        # Impossible triangle contributed nothing: drop the top cell.
+        return pmf[:n]
+    # Negative values above this floor are floating-point dust and
+    # clamp to 0; genuine mass is never negative.
+    floor = -_EPS * len(pmf)
+    new = [0.0] * n
+    if q < 0.5:
+        # Forward (Eq. 8): f_new(i) = (f_old(i) - q f_new(i-1)) / (1-q).
+        prev = 0.0
+        inv = 1.0 / (1.0 - q)
+        for i in range(n):
+            prev = (pmf[i] - q * prev) * inv
+            if 0.0 > prev > floor:
+                prev = 0.0
+            new[i] = prev
+    else:
+        # Backward: f_new(i-1) = (f_old(i) - (1-q) f_new(i)) / q,
+        # seeded by f_new(n-1) = f_old(n) / q.
+        inv = 1.0 / q
+        rest = 1.0 - q
+        prev = pmf[n] * inv
+        if 0.0 > prev > floor:
+            prev = 0.0
+        new[n - 1] = prev
+        for i in range(n - 1, 0, -1):
+            prev = (pmf[i] - rest * prev) * inv
+            if 0.0 > prev > floor:
+                prev = 0.0
+            new[i - 1] = prev
+    return new
+
+
+def removal_error(err: float, q: float) -> float:
+    """Return the PMF's error bound after deconvolving a Bernoulli(q).
+
+    Repeated deconvolution amplifies floating-point error by roughly
+    ``1 / |1 - 2q|`` per removal, which explodes when many near-0.5
+    factors go. Once the returned bound exceeds :data:`ERROR_LIMIT`,
+    the caller rebuilds the PMF with :func:`support_pmf` from its
+    remaining factors instead (and restarts at :data:`FRESH_ERROR`).
+    """
+    spread = abs(1.0 - 2.0 * q)
+    amplification = 1.0 / spread if spread > 1e-6 else 1e6
+    return err * amplification + 1e-15
+
+
 def support_pmf_bruteforce(qs: Sequence[float]) -> list[float]:
     """Exponential-time PMF by summing over all triangle subsets (Eq. 2).
 
@@ -186,7 +308,7 @@ class SupportProbability:
     def __init__(self, qs: Sequence[float] = ()):
         self._qs: list[float] | None = [float(q) for q in qs]
         self._pmf: list[float] = support_pmf(self._qs)
-        self._err: float = 1e-16
+        self._err: float = FRESH_ERROR
 
     @classmethod
     def from_edge(
@@ -201,11 +323,10 @@ class SupportProbability:
     ) -> "SupportProbability":
         """Wrap a PMF together with the triangle factors that produced it.
 
-        ``pmf`` must be ``support_pmf(qs)`` computed elsewhere — the
-        nucleus engine computes every initial PMF in one batched
-        :func:`support_pmfs` call and wraps each result here, getting a
-        fully functional object (recompute safety net included) without
-        re-running the DP.
+        ``pmf`` must be ``support_pmf(qs)`` computed elsewhere, for
+        example by one batched :func:`support_pmfs` call; the result is
+        a fully functional object (recompute safety net included)
+        without re-running the DP.
         """
         qs = [float(q) for q in qs]
         pmf = [float(x) for x in pmf]
@@ -217,7 +338,7 @@ class SupportProbability:
         obj = cls.__new__(cls)
         obj._pmf = pmf
         obj._qs = qs
-        obj._err = 1e-16
+        obj._err = FRESH_ERROR
         return obj
 
     @classmethod
@@ -229,7 +350,7 @@ class SupportProbability:
         obj = cls.__new__(cls)
         obj._pmf = [float(x) for x in pmf]
         obj._qs = None  # unknown factors: no recompute safety net
-        obj._err = 1e-16
+        obj._err = FRESH_ERROR
         return obj
 
     # ------------------------------------------------------------------
@@ -251,43 +372,14 @@ class SupportProbability:
 
     def tail(self, t: int) -> float:
         """Return ``sigma(e, t) = Pr[sup(e) >= t | e exists]``."""
-        if t <= 0:
-            return 1.0
-        if t > self.max_support:
-            return 0.0
-        return min(1.0, sum(self._pmf[t:]))
+        return tail_at(self._pmf, t)
 
     def level(self, gamma: float, edge_probability: float) -> int:
-        """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``.
-
-        This is the edge's current *local truss level*: the maximum k for
-        which the edge passes Definition 2's per-edge test against its
-        present neighbourhood. Edges with ``p(e) < gamma`` return 1
-        (they belong to no local (k, gamma)-truss for k >= 2, since
-        ``Pr[sup >= 0] = p(e)``).
-        """
+        """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``
+        (:func:`support_level`: the edge's current local truss level)."""
         if not 0.0 <= gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
-        # Threshold comparisons use a small *relative* slack so that
-        # probabilities sitting exactly at gamma (common in hand-built
-        # examples) survive the floating-point dust accumulated by
-        # repeated Eq. (8) deconvolutions.
-        threshold = gamma * (1.0 - 1e-9)
-        if edge_probability < threshold:
-            return 1
-        # sigma(t) is non-increasing in t, so scanning t from the top the
-        # first passing tail is the largest; t = 0 always passes because
-        # sigma(0) * p(e) = p(e) >= gamma was checked above. The tail is
-        # not clamped with min(1.0, running): once running >= 1,
-        # running * p(e) >= p(e) >= threshold (rounding is monotone), so
-        # the step passes exactly when the clamped test would.
-        pmf = self._pmf
-        running = 0.0
-        for t in range(len(pmf) - 1, 0, -1):
-            running += pmf[t]
-            if running * edge_probability >= threshold:
-                return t + 2
-        return 2
+        return support_level(self._pmf, gamma, edge_probability)
 
     # ------------------------------------------------------------------
     def add_triangle(self, q: float) -> None:
@@ -307,13 +399,9 @@ class SupportProbability:
 
         ``q`` must be one of the triangle probabilities previously folded
         in (the caller is responsible for passing the right value — the
-        decomposition tracks them per apex).
-
-        Numerical stability: Eq. (8) as written divides by ``1 - q``,
-        which amplifies error when the removed triangle is near-certain.
-        The same recurrence can be solved from the top down, dividing by
-        ``q`` instead, so we pick the direction whose divisor is larger —
-        the amplification per step is then bounded by 2.
+        decomposition tracks them per apex). When the error bound of
+        :func:`removal_error` trips, the PMF is rebuilt exactly from the
+        tracked factors instead of deconvolved.
         """
         if not 0.0 <= q <= 1.0:
             raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
@@ -321,69 +409,28 @@ class SupportProbability:
             raise ParameterError("no triangles left to remove")
         if self._qs is not None:
             self._drop_factor(q)
-            # Error amplification of the deconvolution is ~1/|1-2q|;
-            # once the accumulated bound threatens the 1e-9-relative
-            # threshold comparisons, rebuild exactly from the factors.
-            spread = abs(1.0 - 2.0 * q)
-            amplification = 1.0 / spread if spread > 1e-6 else 1e6
-            self._err = self._err * amplification + 1e-15
-            if self._err > 1e-10:
+            self._err = removal_error(self._err, q)
+            if self._err > ERROR_LIMIT:
                 self._pmf = support_pmf(self._qs)
-                self._err = 1e-16
+                self._err = FRESH_ERROR
                 return
-        old = self._pmf
-        n = len(old) - 1
-        if q >= 1.0 - 1e-15:
-            # Certain triangle: sup_old = sup_new + 1, so shift left.
-            self._pmf = old[1:]
-            return
-        if q <= 0.0:
-            # Impossible triangle contributed nothing: drop the top cell.
-            self._pmf = old[:n]
-            return
-        # Negative values above this floor are floating-point dust and
-        # clamp to 0; genuine mass is never negative.
-        floor = -_EPS * len(old)
-        new = [0.0] * n
-        if q < 0.5:
-            # Forward (Eq. 8): f_new(i) = (f_old(i) - q f_new(i-1)) / (1-q).
-            prev = 0.0
-            inv = 1.0 / (1.0 - q)
-            for i in range(n):
-                prev = (old[i] - q * prev) * inv
-                if 0.0 > prev > floor:
-                    prev = 0.0
-                new[i] = prev
-        else:
-            # Backward: f_new(i-1) = (f_old(i) - (1-q) f_new(i)) / q,
-            # seeded by f_new(n-1) = f_old(n) / q.
-            inv = 1.0 / q
-            rest = 1.0 - q
-            prev = old[n] * inv
-            if 0.0 > prev > floor:
-                prev = 0.0
-            new[n - 1] = prev
-            for i in range(n - 1, 0, -1):
-                prev = (old[i] - rest * prev) * inv
-                if 0.0 > prev > floor:
-                    prev = 0.0
-                new[i - 1] = prev
-        self._pmf = new
+        self._pmf = deconvolve(self._pmf, q)
 
     def _drop_factor(self, q: float) -> None:
         """Remove the factor matching ``q`` from the tracked multiset.
 
-        Callers that tracked the folded-in factor (the nucleus engine)
-        pass it bit-identically, so an exact match is looked up first.
-        The last equal copy goes, the one the near-match scan below
-        would pick, so a later recompute folds the remaining factors in
-        the same order. Only without an exact match does the scan for a
-        factor within 1e-9 run.
+        Callers that tracked the folded-in factor pass it
+        bit-identically, so an exact match is looked up first, scanning
+        from the end: the last equal copy goes, the one the near-match
+        scan below would pick, so a later recompute folds the remaining
+        factors in the same order. Only without an exact match does the
+        scan for a factor within 1e-9 run.
         """
         qs = self._qs
-        try:
-            best_idx = len(qs) - 1 - qs[::-1].index(q)
-        except ValueError:
+        for best_idx in range(len(qs) - 1, -1, -1):
+            if qs[best_idx] == q:
+                break
+        else:
             best_idx = -1
             best_diff = 1e-9
             for i, value in enumerate(qs):
@@ -394,7 +441,7 @@ class SupportProbability:
             if best_idx < 0:
                 raise ParameterError(
                     f"no tracked triangle has probability {q!r}"
-                ) from None
+                )
         del qs[best_idx]
 
     def copy(self) -> "SupportProbability":

@@ -226,11 +226,14 @@ class DynamicLocalTruss:
 
     def _reduce_region(self, region: set[Edge]) -> None:
         """Re-reduce ``region`` from scratch (PMFs rebuilt within truss)."""
-        # Start optimistic: everything in the region is in.
+        # Start optimistic: everything in the region is in. The region
+        # is walked in graph edge order, not set order, so the eviction
+        # cascade (and the PMF bits) do not follow PYTHONHASHSEED.
         self._truss |= region
-        for e in region:
+        edges = [e for e in self._graph.edges() if e in region]
+        for e in edges:
             self._pmfs[e] = self._pmf_within(e)
-        queue = deque(region)
+        queue = deque(edges)
         while queue:
             e = queue.popleft()
             if e not in self._truss:
@@ -238,11 +241,19 @@ class DynamicLocalTruss:
             if not self._passes(e):
                 self._evict(e, queue)
 
+    def _apexes(self, u: Node, v: Node) -> list[Node]:
+        """The common neighbours of u and v, in u's adjacency order: a
+        fold order that, unlike set order, is the same in every
+        process."""
+        adj = self._graph.adjacency()
+        nv = adj[v]
+        return [w for w in adj[u] if w in nv]
+
     def _pmf_within(self, e: Edge) -> SupportProbability:
         """PMF of ``e`` counting only triangles inside the current truss set."""
         u, v = e
         qs = []
-        for w in self._graph.common_neighbors(u, v):
+        for w in self._apexes(u, v):
             if (
                 edge_key(u, w) in self._truss
                 and edge_key(v, w) in self._truss
@@ -256,7 +267,7 @@ class DynamicLocalTruss:
         self._truss.discard(e)
         self._pmfs.pop(e, None)
         u, v = e
-        for w in self._graph.common_neighbors(u, v):
+        for w in self._apexes(u, v):
             e_uw, e_vw = edge_key(u, w), edge_key(v, w)
             if e_uw in self._truss and e_vw in self._truss:
                 q_uw = self._graph.probability(v, u) * self._graph.probability(v, w)

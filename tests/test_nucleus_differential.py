@@ -409,18 +409,21 @@ class TestIdIndexedPeel:
     its r-subcliques, and both methods read the same retirement marks."""
 
     def test_each_s_clique_retires_once(self, monkeypatch):
-        from repro.core.support_prob import SupportProbability
+        from repro.core.nucleus import _CellState
         from repro.datasets import load_dataset
         from repro.datasets.probability_models import assign_uniform
 
+        # One affected id per Eq. 8 removal: the engine holds its own
+        # PMFs, so the removals are counted where it retires cells.
         removals = []
-        remove = SupportProbability.remove_triangle
+        retire = _CellState.retire
 
-        def counting(self, q):
-            removals.append(q)
-            remove(self, q)
+        def counting(self, i, method="dp"):
+            affected = retire(self, i, method)
+            removals.extend(affected)
+            return affected
 
-        monkeypatch.setattr(SupportProbability, "remove_triangle", counting)
+        monkeypatch.setattr(_CellState, "retire", counting)
         g = assign_uniform(load_dataset("wikivote", seed=2016).copy(), seed=1)
         totals = {}
         for r, s in SUPPORTED_RS:
@@ -451,6 +454,73 @@ class TestIdIndexedPeel:
                                                  method="baseline")
                 assert (list(dp.scores.items())
                         == list(baseline.scores.items())), (r, s, gamma)
+
+
+def recompute_orders() -> dict[str, list]:
+    """``list(items())`` of the (2, 3) and (3, 4) scores at gamma 0.3
+    and of the k = 3 gamma-trussness, on two graphs whose Eq. 8
+    removals trip the error bound. Factors at or near 0.5 amplify the
+    bound fastest, and repeated probabilities make many equal-valued
+    factors per cell. On the dyadic graph every product is exact; on
+    the decimal one a rebuild that folded the live factors in apex
+    order would move the bits of some gamma values."""
+    from repro.core.gamma_decomp import gamma_truss_decomposition
+
+    graphs = {
+        "dyadic": planted_clique_graph(
+            3, 7, seed=0, probs=(0.5, 0.625, 0.75, 0.875, 1.0),
+            extra_density=0.3),
+        "decimal": dyadic_random_graph(16, 0.6, 2,
+                                       probs=(0.55, 0.7, 0.75, 0.9)),
+    }
+    rows = {}
+    for name, g in graphs.items():
+        for r, s in ((2, 3), (3, 4)):
+            rows[f"{name}-{r}{s}"] = list(
+                nucleus_decomposition(g, r, s, 0.3).scores.items())
+        rows[f"{name}-gamma-3"] = list(
+            gamma_truss_decomposition(g, 3).gamma_trussness.items())
+    return rows
+
+
+#: sha256 of ``repr(rows)`` per :func:`recompute_orders` entry, recorded
+#: by running that function on the peel whose cells each carried a
+#: ``SupportProbability`` (its rebuild folded the factors its
+#: last-equal-copy removals left).
+RECOMPUTE_DIGESTS = {
+    "dyadic-23":
+        "9cabc0eb0e30511df41f63e8629eb41ec61162a8b19d9395650dadd5e669a869",
+    "dyadic-34":
+        "c2f21fe4b3f273c2df6c7e275db987b4ecf6bfa10180480331cb42b80cf67a66",
+    "dyadic-gamma-3":
+        "3a65d06e4d7b86deb780482909150ab6b77dc693f1463fd5d67ffafbeab1187d",
+    "decimal-23":
+        "b12fa3b909016a5d31479da5cb256b0d7e950e3607ecac4fd318b42919c58641",
+    "decimal-34":
+        "e87f778f2d27b8817301356423711e31bbcc74434bb84a0541f090f9b65c09a3",
+    "decimal-gamma-3":
+        "2bc61592b81e7ad69c27b5478e06a3d8aa1fab71620da32c2bc3195187ff26f4",
+}
+
+
+class TestRecomputeFallback:
+    def test_rebuilds_keep_the_pinned_bits(self, monkeypatch):
+        import hashlib
+
+        from repro.core.nucleus import _CellState
+
+        rebuilds = []
+        live_factors = _CellState._live_factors
+
+        def counting(self, i):
+            rebuilds.append(i)
+            return live_factors(self, i)
+
+        monkeypatch.setattr(_CellState, "_live_factors", counting)
+        digests = {name: hashlib.sha256(repr(rows).encode()).hexdigest()
+                   for name, rows in recompute_orders().items()}
+        assert digests == RECOMPUTE_DIGESTS
+        assert rebuilds, "no Eq. 8 removal tripped the error bound"
 
 
 class TestContainmentMonotonicity:

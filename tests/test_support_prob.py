@@ -197,6 +197,20 @@ class TestSupportProbabilityObject:
         sp._drop_factor(0.5)
         assert sp._qs == [0.5, 0.25, 0.75]
 
+    def test_rebuild_folds_what_the_last_copy_removal_leaves(self):
+        # Three equal copies of 0.3; removing one drops the last, and
+        # the 0.5 removal that follows trips the error bound, so the
+        # PMF is rebuilt from the remaining factors in their order. The
+        # two orders give different bits, so the order is pinned.
+        sp = SupportProbability([0.3, 0.2, 0.6, 0.5, 0.3, 0.2, 0.9, 0.3])
+        sp.remove_triangle(0.3)
+        assert sp._qs == [0.3, 0.2, 0.6, 0.5, 0.3, 0.2, 0.9]
+        sp.remove_triangle(0.5)
+        kept = [0.3, 0.2, 0.6, 0.3, 0.2, 0.9]
+        assert sp._qs == kept
+        assert sp.pmf == support_pmf(kept)
+        assert sp.pmf != support_pmf([0.2, 0.6, 0.3, 0.2, 0.9, 0.3])
+
     def test_drop_factor_falls_back_to_a_near_match(self):
         # Callers that recompute q (dynamic updates) may be off by
         # float dust; the 1e-9 scan still finds their factor.

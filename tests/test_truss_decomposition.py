@@ -211,9 +211,36 @@ def gamma_peel_orders():
     }
 
 
+def dynamic_truss_pmfs():
+    """The live support PMFs of :class:`DynamicLocalTruss` on
+    :func:`_string_fruitfly`, in graph edge order: after the initial
+    reduction, after deletions whose evictions cascade, and after an
+    insertion that re-reduces a region. Their reprs carry every bit of
+    every PMF."""
+    from repro.truss.dynamic import DynamicLocalTruss
+
+    graph = _string_fruitfly()
+    dlt = DynamicLocalTruss(graph, 4, 0.1)
+
+    def snapshot():
+        return [(e, dlt._pmfs[e].pmf) for e in dlt._graph.edges()
+                if e in dlt._pmfs]
+
+    rows = {"initial": snapshot()}
+    for u, v in list(graph.edges())[::9]:
+        if dlt.in_truss(u, v):
+            dlt.remove_edge(u, v)
+    rows["deleted"] = snapshot()
+    u, v = next(iter(graph.edges()))
+    dlt.insert_edge(u, v, 0.95)
+    rows["inserted"] = snapshot()
+    return rows
+
+
 class TestPeelOrderAcrossHashSeeds:
     @pytest.mark.parametrize("helper", ["structural_peel_orders",
-                                        "gamma_peel_orders"])
+                                        "gamma_peel_orders",
+                                        "dynamic_truss_pmfs"])
     def test_item_order_is_hash_seed_independent(self, helper):
         # The peels pop from insertion-ordered buckets (or a heap tied
         # by cell id) and visit neighbours in adjacency (or canonical
