@@ -38,7 +38,7 @@ def expected_support(graph: ProbabilisticGraph, u: Node, v: Node) -> float:
     """Return ``E[sup((u, v))]`` conditional on the edge existing."""
     return sum(
         graph.probability(w, u) * graph.probability(w, v)
-        for w in graph.common_neighbors(u, v)
+        for w in graph.triangles_of_edge(u, v)
     )
 
 
@@ -73,8 +73,9 @@ def expected_truss_decomposition(
         running = max(running, values[e])
         result[e] = running + 2.0
         u, v = e
-        apexes = list(work.common_neighbors(u, v))
-        for w in apexes:
+        # Apexes in adjacency order: set order would make the sums,
+        # and so the values, follow PYTHONHASHSEED.
+        for w in work.triangles_of_edge(u, v):
             q_uw = work.probability(v, u) * work.probability(v, w)
             q_vw = work.probability(u, v) * work.probability(u, w)
             for other, q in ((edge_key(u, w), q_uw), (edge_key(v, w), q_vw)):

@@ -55,7 +55,10 @@ level-keyed :func:`nucleus_decomposition` pops from the
 value-keyed ``_max_min_peel`` pops the least ``tail(k - 2) * Pr[R]``
 at a fixed k from a heap, ties by id, and yields each cell's largest
 gamma; it runs :mod:`repro.core.gamma_decomp` and
-:mod:`repro.core.frontier`.
+:mod:`repro.core.frontier`. Beside them,
+:class:`~repro.truss.dynamic.DynamicLocalTruss` holds a ``(2, 3)``
+state and runs a FIFO cascade at a fixed (k, gamma): it retires every
+queued cell that fails the test and queues the ids the step returns.
 
 All factor orderings here are canonical (apexes in
 :func:`~repro.truss.nucleus.clique_key` order), and every initial PMF

@@ -18,9 +18,9 @@ contributes a triangle independently with probability
   (:mod:`repro.core.nucleus`) keeps its PMFs, factors and bounds in its
   own id-indexed arrays and calls these functions directly;
 * :class:`SupportProbability` — one edge's live PMF with its factor
-  multiset, for callers without such arrays (the dynamic truss, the
-  eta-degree, the public API). Its methods call the same functions, so
-  the Eq. (8) arithmetic exists once;
+  multiset, for callers without such arrays (the eta-degree, the
+  public API). Its methods call the same functions, so the Eq. (8)
+  arithmetic exists once;
 * :func:`support_pmf_bruteforce` — the exponential possible-world sum of
   Eq. (2), used as a test oracle.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from itertools import combinations
 
-from repro.exceptions import EdgeNotFoundError, ParameterError
+from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
 
 __all__ = [
@@ -69,13 +69,14 @@ def triangle_probabilities(
     """Return ``{w: p(w, u) * p(w, v)}`` for every common neighbour ``w``.
 
     ``q_w`` is the probability that the triangle (u, v, w) exists, given
-    that edge (u, v) exists.
+    that edge (u, v) exists. Keys come in
+    :meth:`~repro.graphs.probabilistic.ProbabilisticGraph.triangles_of_edge`
+    order, so a PMF folded from the values has the same bits in every
+    process.
     """
-    if not graph.has_edge(u, v):
-        raise EdgeNotFoundError(u, v)
     return {
         w: graph.probability(w, u) * graph.probability(w, v)
-        for w in graph.common_neighbors(u, v)
+        for w in graph.triangles_of_edge(u, v)
     }
 
 

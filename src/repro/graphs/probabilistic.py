@@ -267,10 +267,18 @@ class ProbabilisticGraph:
             seen.add(u)
 
     def triangles_of_edge(self, u: Node, v: Node) -> Iterator[Node]:
-        """Iterate over apex nodes ``w`` forming a triangle with edge (u, v)."""
+        """Iterate over apex nodes ``w`` forming a triangle with edge (u, v).
+
+        Apexes come in the adjacency order of the endpoint with fewer
+        neighbours (``u`` on a tie), not set order, so the sequence does
+        not depend on ``PYTHONHASHSEED``.
+        """
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        yield from self.common_neighbors(u, v)
+        a, b = self._adj[u], self._adj[v]
+        if len(a) > len(b):
+            a, b = b, a
+        yield from (w for w in a if w in b)
 
     def triangles(self) -> Iterator[tuple[Node, Node, Node]]:
         """Iterate over every triangle exactly once, as ``(u, v, w)``.

@@ -7,16 +7,18 @@ maximal k-truss subgraph of an evolving deterministic graph:
 * **Deletions** are handled fully incrementally: removing an edge
   destroys its triangles, and support losses cascade exactly as in the
   static peeling — touching only the affected region.
-* **Insertions** may pull previously-evicted edges back in; the truss
-  is repaired by re-running the reduction on the affected connected
-  region only (sound and simple; exact incremental insertion is far
-  more intricate and not needed at this library's scale).
+* **Insertions** may pull previously-evicted edges back in.
+  :class:`DynamicTruss` re-runs the reduction on the affected connected
+  region only; :class:`DynamicLocalTruss` re-peels the whole graph, so
+  an insertion into a graph of many components costs one peel of all
+  of them (sound and simple; exact incremental insertion is far more
+  intricate and not needed at this library's scale).
 
 :class:`DynamicTruss` tracks the deterministic k-truss;
 :class:`DynamicLocalTruss` (see below) is the probabilistic analogue for
 a fixed (k, gamma), maintaining the union of maximal local
-(k, gamma)-trusses with the same Eq. (8) PMF machinery used by
-Algorithm 1.
+(k, gamma)-trusses on the cell state and Eq. (8) retirement step of the
+peel engine that runs Algorithm 1 (:mod:`repro.core.nucleus`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections.abc import Hashable
 
 from repro.exceptions import EdgeNotFoundError, ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.support_prob import SupportProbability
+from repro.core.support_prob import tail_at
 from repro.truss.decomposition import k_truss_edges
 
 __all__ = ["DynamicTruss", "DynamicLocalTruss"]
@@ -168,13 +170,16 @@ class DynamicLocalTruss:
 
     The probabilistic analogue of :class:`DynamicTruss`: an edge stays
     in the maintained set while ``Pr[sup >= k-2] * p(e) >= gamma`` holds
-    with supports counted *within the maintained set*. Support PMFs are
-    updated with the Eq. (8) add/remove machinery:
+    with supports counted *within the maintained set*. The state is one
+    ``(2, 3)`` cell state of the peel engine (:mod:`repro.core.nucleus`)
+    plus a live mark per cell, and evictions cascade through the
+    engine's Eq. (8) retirement step:
 
-    * deletion: deconvolve the lost triangles out of the neighbours'
-      PMFs and cascade evictions (fully incremental);
-    * insertion: convolve new triangles in and repair by re-reducing the
-      affected connected region.
+    * deletion: retire the edge's cell, deconvolving its triangles out
+      of the neighbours' PMFs, and cascade evictions (fully
+      incremental);
+    * insertion or re-weight: build a fresh state of the whole graph
+      and re-peel it.
     """
 
     def __init__(self, graph: ProbabilisticGraph, k: int, gamma: float):
@@ -185,9 +190,7 @@ class DynamicLocalTruss:
         self._graph = graph.copy()
         self._k = k
         self._gamma = gamma
-        self._truss: set[Edge] = set()
-        self._pmfs: dict[Edge, SupportProbability] = {}
-        self._rebuild_all()
+        self._rebuild()
 
     @property
     def k(self) -> int:
@@ -201,101 +204,47 @@ class DynamicLocalTruss:
 
     def truss_edges(self) -> set[Edge]:
         """Current union of maximal local (k, gamma)-truss edges (copy)."""
-        return set(self._truss)
+        live = self._live
+        return {e for i, e in enumerate(self._state.cells) if live[i]}
 
     def in_truss(self, u: Node, v: Node) -> bool:
         """Return True iff edge (u, v) is currently in a local truss."""
-        return edge_key(u, v) in self._truss
+        i = self._state.ids.get(edge_key(u, v))
+        return i is not None and bool(self._live[i])
 
     def maximal_trusses(self) -> list[ProbabilisticGraph]:
         """Current maximal local (k, gamma)-trusses, as subgraphs."""
         from repro.graphs.components import edge_connected_components
 
         # Graph order, not set order: no PYTHONHASHSEED dependence.
-        truss = [e for e in self._graph.edges() if e in self._truss]
+        ids, live = self._state.ids, self._live
+        truss = [e for e in self._graph.edges() if live[ids[e]]]
         clusters = edge_connected_components(self._graph, truss)
         return [self._graph.edge_subgraph(c) for c in clusters]
 
     # ------------------------------------------------------------------
-    def _passes(self, e: Edge) -> bool:
-        u, v = e
-        return (
-            self._pmfs[e].tail(self._k - 2) * self._graph.probability(u, v)
-            >= self._gamma * (1.0 - 1e-9)
-        )
+    def _rebuild(self) -> None:
+        """Peel a fresh engine state of the whole current graph."""
+        # Imported here: repro.core.nucleus imports repro.truss, whose
+        # package imports this module.
+        from repro.core.nucleus import _CellState
 
-    def _reduce_region(self, region: set[Edge]) -> None:
-        """Re-reduce ``region`` from scratch (PMFs rebuilt within truss)."""
-        # Start optimistic: everything in the region is in. The region
-        # is walked in graph edge order, not set order, so the eviction
-        # cascade (and the PMF bits) do not follow PYTHONHASHSEED.
-        self._truss |= region
-        edges = [e for e in self._graph.edges() if e in region]
-        for e in edges:
-            self._pmfs[e] = self._pmf_within(e)
-        queue = deque(edges)
+        self._state = _CellState(self._graph, 2)
+        self._live = bytearray([1]) * len(self._state.cells)
+        self._cascade(deque(range(len(self._state.cells))))
+
+    def _cascade(self, queue: deque) -> None:
+        """Evict every queued live cell that fails the (k, gamma) test,
+        queueing the cells its retirement affects, until none fails."""
+        state, live = self._state, self._live
+        pmfs, probs = state.pmfs, state.probs
+        t = self._k - 2
+        threshold = self._gamma * (1.0 - 1e-9)
         while queue:
-            e = queue.popleft()
-            if e not in self._truss:
-                continue
-            if not self._passes(e):
-                self._evict(e, queue)
-
-    def _apexes(self, u: Node, v: Node) -> list[Node]:
-        """The common neighbours of u and v, in u's adjacency order: a
-        fold order that, unlike set order, is the same in every
-        process."""
-        adj = self._graph.adjacency()
-        nv = adj[v]
-        return [w for w in adj[u] if w in nv]
-
-    def _pmf_within(self, e: Edge) -> SupportProbability:
-        """PMF of ``e`` counting only triangles inside the current truss set."""
-        u, v = e
-        qs = []
-        for w in self._apexes(u, v):
-            if (
-                edge_key(u, w) in self._truss
-                and edge_key(v, w) in self._truss
-            ):
-                qs.append(
-                    self._graph.probability(w, u) * self._graph.probability(w, v)
-                )
-        return SupportProbability(qs)
-
-    def _evict(self, e: Edge, queue: deque) -> None:
-        self._truss.discard(e)
-        self._pmfs.pop(e, None)
-        u, v = e
-        for w in self._apexes(u, v):
-            e_uw, e_vw = edge_key(u, w), edge_key(v, w)
-            if e_uw in self._truss and e_vw in self._truss:
-                q_uw = self._graph.probability(v, u) * self._graph.probability(v, w)
-                q_vw = self._graph.probability(u, v) * self._graph.probability(u, w)
-                self._pmfs[e_uw].remove_triangle(q_uw)
-                self._pmfs[e_vw].remove_triangle(q_vw)
-                queue.append(e_uw)
-                queue.append(e_vw)
-
-    def _rebuild_all(self) -> None:
-        self._truss = set()
-        self._pmfs = {}
-        self._reduce_region({edge_key(u, v) for u, v in self._graph.edges()})
-
-    def _affected_region(self, u: Node, v: Node) -> set[Edge]:
-        region: set[Edge] = set()
-        seen: set[Node] = set()
-        stack = [x for x in (u, v) if self._graph.has_node(x)]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            for y in self._graph.neighbors(x):
-                region.add(edge_key(x, y))
-                if y not in seen:
-                    stack.append(y)
-        return region
+            i = queue.popleft()
+            if live[i] and tail_at(pmfs[i], t) * probs[i] < threshold:
+                live[i] = 0
+                queue.extend(state.retire(i))
 
     # ------------------------------------------------------------------
     def insert_edge(self, u: Node, v: Node, probability: float) -> None:
@@ -304,31 +253,24 @@ class DynamicLocalTruss:
         Unlike :meth:`DynamicTruss.insert_edge`, inserting an existing
         edge is allowed: it refreshes the edge's probability, which is a
         meaningful update here. Self-loops raise
-        :class:`ParameterError`.
+        :class:`ParameterError`. Repair re-peels the whole graph, every
+        connected component included.
         """
         if u == v:
             raise ParameterError(
                 f"self-loop ({u!r}, {v!r}) is never a valid edge")
         self._graph.add_edge(u, v, probability)
-        region = self._affected_region(u, v)
-        for e in region & self._truss:
-            self._pmfs.pop(e, None)
-        self._truss -= region
-        self._reduce_region(region)
+        self._rebuild()
 
     def remove_edge(self, u: Node, v: Node) -> None:
-        """Remove edge (u, v); evictions cascade incrementally."""
-        e = edge_key(u, v)
+        """Remove edge (u, v); evictions cascade incrementally.
+
+        The edge's cell stays in the engine state, retired.
+        """
         if not self._graph.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        in_truss = e in self._truss
-        if in_truss:
-            queue: deque = deque()
-            self._evict(e, queue)
-            self._graph.remove_edge(u, v)
-            while queue:
-                nxt = queue.popleft()
-                if nxt in self._truss and not self._passes(nxt):
-                    self._evict(nxt, queue)
-        else:
-            self._graph.remove_edge(u, v)
+        self._graph.remove_edge(u, v)
+        i = self._state.ids[edge_key(u, v)]
+        if self._live[i]:
+            self._live[i] = 0
+            self._cascade(deque(self._state.retire(i)))

@@ -188,6 +188,86 @@ class TestDynamicLocalTruss:
                 f"divergence at step {step}"
             )
 
+    @staticmethod
+    def _check_churn(graph, k, gamma, steps, seed):
+        """Remove, re-weight and insert at random, comparing the
+        maintained set with a from-scratch decomposition each step."""
+        rng = np.random.default_rng(seed)
+        dlt = DynamicLocalTruss(graph, k, gamma)
+        shadow = graph.copy()
+        nodes = list(shadow.nodes())
+        assert dlt.truss_edges() == _static_local_edges(shadow, k, gamma)
+        for step in range(steps):
+            edges = list(shadow.edges())
+            draw = rng.random()
+            if draw < 0.45:
+                u, v = edges[int(rng.integers(len(edges)))]
+                dlt.remove_edge(u, v)
+                shadow.remove_edge(u, v)
+            else:
+                if draw < 0.65:
+                    u, v = edges[int(rng.integers(len(edges)))]
+                else:
+                    u = nodes[int(rng.integers(len(nodes)))]
+                    v = nodes[int(rng.integers(len(nodes)))]
+                    if u == v:
+                        continue
+                p = float(rng.uniform(0.1, 1.0))
+                dlt.insert_edge(u, v, p)
+                shadow.add_edge(u, v, p)
+            assert dlt.truss_edges() == _static_local_edges(
+                shadow, k, gamma), f"divergence at step {step}"
+
+    def test_churn_on_disconnected_graph(self):
+        from repro.datasets.registry import load_dataset
+        from repro.graphs.components import connected_components
+
+        graph = load_dataset("fruitfly", seed=1, scale=0.3)
+        assert len(list(connected_components(graph))) > 1
+        for k, gamma in ((3, 0.1), (4, 0.1)):
+            self._check_churn(graph, k, gamma, steps=25, seed=k)
+
+    @pytest.mark.parametrize("label", [lambda w: f"n{w}",
+                                       lambda w: w if w % 2 else f"n{w}"],
+                             ids=["str", "mixed"])
+    def test_churn_on_string_and_mixed_nodes(self, label):
+        g = random_probabilistic_graph(16, 0.4, 4)
+        graph = ProbabilisticGraph(
+            (label(u), label(v), p) for u, v, p in g.edges_with_probabilities()
+        )
+        self._check_churn(graph, 3, 0.2, steps=30, seed=5)
+
+    def test_remove_and_reinsert_edge_outside_truss(self):
+        g = complete_graph(4, 0.9)
+        g.add_edge(0, 9, 0.8)
+        g.add_edge(1, 9, 0.05)  # its triangle is too flimsy at gamma 0.3
+        k, gamma = 3, 0.3
+        dlt = DynamicLocalTruss(g, k, gamma)
+        before = dlt.truss_edges()
+        assert not dlt.in_truss(0, 9)
+        dlt.remove_edge(0, 9)
+        shadow = g.copy()
+        shadow.remove_edge(0, 9)
+        assert not dlt.in_truss(0, 9)
+        assert dlt.truss_edges() == before == _static_local_edges(
+            shadow, k, gamma)
+        dlt.insert_edge(0, 9, 0.8)
+        assert dlt.truss_edges() == before == _static_local_edges(g, k, gamma)
+
+    def test_reweighting_evicted_edge_back_in(self):
+        g = complete_graph(4, 0.9)
+        k, gamma = 4, 0.3
+        dlt = DynamicLocalTruss(g, k, gamma)
+        dlt.insert_edge(0, 1, 0.01)
+        shadow = g.copy()
+        shadow.set_probability(0, 1, 0.01)
+        assert dlt.truss_edges() == set() == _static_local_edges(
+            shadow, k, gamma)
+        dlt.insert_edge(0, 1, 0.9)
+        assert dlt.in_truss(0, 1)
+        assert dlt.truss_edges() == _static_local_edges(g, k, gamma)
+        assert len(dlt.truss_edges()) == 6
+
     def test_remove_missing_edge(self, triangle):
         dlt = DynamicLocalTruss(triangle, 3, 0.2)
         with pytest.raises(EdgeNotFoundError):

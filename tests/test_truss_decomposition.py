@@ -212,19 +212,20 @@ def gamma_peel_orders():
 
 
 def dynamic_truss_pmfs():
-    """The live support PMFs of :class:`DynamicLocalTruss` on
-    :func:`_string_fruitfly`, in graph edge order: after the initial
-    reduction, after deletions whose evictions cascade, and after an
-    insertion that re-reduces a region. Their reprs carry every bit of
-    every PMF."""
+    """The live cells' support PMFs of :class:`DynamicLocalTruss` on
+    :func:`_string_fruitfly`, read from its engine state in graph edge
+    order: after the initial peel, after deletions whose evictions
+    cascade, and after an insertion that re-peels the graph. Their
+    reprs carry every bit of every PMF."""
     from repro.truss.dynamic import DynamicLocalTruss
 
     graph = _string_fruitfly()
     dlt = DynamicLocalTruss(graph, 4, 0.1)
 
     def snapshot():
-        return [(e, dlt._pmfs[e].pmf) for e in dlt._graph.edges()
-                if e in dlt._pmfs]
+        state, live = dlt._state, dlt._live
+        return [(e, state.pmfs[state.ids[e]]) for e in dlt._graph.edges()
+                if live[state.ids[e]]]
 
     rows = {"initial": snapshot()}
     for u, v in list(graph.edges())[::9]:
@@ -237,10 +238,40 @@ def dynamic_truss_pmfs():
     return rows
 
 
+def expected_truss_orders():
+    """``list(result.items())`` of the expected-support max-min peel on
+    :func:`_string_fruitfly`; the reprs carry every bit of every value."""
+    from repro.core.expected import expected_truss_decomposition
+
+    return list(expected_truss_decomposition(_string_fruitfly()).items())
+
+
+def edge_support_pmfs():
+    """Every edge's :func:`triangle_probabilities` factors and
+    :meth:`SupportProbability.from_edge` PMF on a string-node wikivote
+    graph, in graph edge order."""
+    from repro.core.support_prob import (
+        SupportProbability,
+        triangle_probabilities,
+    )
+    from repro.datasets.registry import load_dataset
+
+    source = load_dataset("wikivote", seed=1)
+    graph = ProbabilisticGraph(
+        (f"n{u}", f"n{v}", p)
+        for u, v, p in source.edges_with_probabilities()
+    )
+    return [(list(triangle_probabilities(graph, u, v).values()),
+             SupportProbability.from_edge(graph, u, v).pmf)
+            for u, v in graph.edges()]
+
+
 class TestPeelOrderAcrossHashSeeds:
     @pytest.mark.parametrize("helper", ["structural_peel_orders",
                                         "gamma_peel_orders",
-                                        "dynamic_truss_pmfs"])
+                                        "dynamic_truss_pmfs",
+                                        "expected_truss_orders",
+                                        "edge_support_pmfs"])
     def test_item_order_is_hash_seed_independent(self, helper):
         # The peels pop from insertion-ordered buckets (or a heap tied
         # by cell id) and visit neighbours in adjacency (or canonical
