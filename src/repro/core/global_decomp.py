@@ -313,12 +313,12 @@ def bottom_up_search(
     if seed_order == "probability-desc":
         ranked = sorted(
             component.edges_with_probabilities(),
-            key=lambda t: (-t[2], str(t[0]), str(t[1])),
+            key=lambda t: (-t[2], _edge_sort_key(t)),
         )
     elif seed_order == "probability-asc":
         ranked = sorted(
             component.edges_with_probabilities(),
-            key=lambda t: (t[2], str(t[0]), str(t[1])),
+            key=lambda t: (t[2], _edge_sort_key(t)),
         )
     elif seed_order == "random":
         ranked = list(component.edges_with_probabilities())
@@ -478,7 +478,7 @@ def _extend_to_maximal(
                         continue
                 fringe.append((e, component.probability(e[0], e[1])))
         # Try high-probability extensions first for a denser result.
-        fringe.sort(key=lambda t: (-t[1], str(t[0][0]), str(t[0][1])))
+        fringe.sort(key=lambda t: (-t[1], _edge_sort_key(t[0])))
         for e, _p in fringe:
             trial_nodes = current_nodes | {e[0], e[1]}
             if oracle.satisfies_edges(current_edges + [e], trial_nodes,
@@ -606,7 +606,8 @@ def global_truss_decomposition(
             samples=samples, oracle=oracle,
         ).start()
         executor = own_executor
-    executor.attach_oracle(oracle)
+    else:
+        executor.attach_oracle(oracle)
     if rng_root is not None:
         root = int(rng_root)
     elif isinstance(seed, int):

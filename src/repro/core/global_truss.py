@@ -151,10 +151,6 @@ def classify_worlds(
     so identical rows are classified once and credited with their
     multiplicity.
 
-    Counts are additive over disjoint row sets — the property the
-    parallel oracle uses to classify row blocks in worker processes and
-    sum the integer counts with no change in the result.
-
     This boolean-matrix path is the *differential-test reference* for
     :func:`repro.core.kernels.classify_worlds_packed`, which computes
     identical counts directly on the packed bits; the oracle's hot paths
@@ -216,31 +212,19 @@ class GlobalTrussOracle:
     #: finest-grained cancellation point inside a GTD/GBU level.
     _PROGRESS_INTERVAL = 32
 
-    #: Minimum classification size (candidate rows x edges) before a
-    #: single evaluation is split across worker processes. Below this the
-    #: serial classifier beats the dispatch round-trip. This constant is
-    #: the *fallback*: an attached executor that measured its actual
-    #: dispatch cost at startup overrides it via ``parallel_min_cells``.
-    _PARALLEL_MIN_CELLS = 1 << 17
-
     #: Memoised evaluations kept before the oldest are evicted. Worker
     #: processes never see the per-level trim (they outlive levels), so
     #: the cache itself must be bounded; eviction only costs recompute,
     #: never changes a result.
     _CACHE_MAX = 8192
 
-    def __init__(self, samples: WorldSampleSet, progress=None, executor=None):
+    def __init__(self, samples: WorldSampleSet, progress=None):
         self._samples = samples
         self._cache: dict[tuple[frozenset[Edge], frozenset[Node], int],
                           dict[Edge, float]] = {}
         self._frequency: dict[Edge, float] = {}
         self._progress = progress
         self._evaluations = 0
-        #: Optional :class:`repro.parallel.ParallelExecutor`; when it has
-        #: live worker processes, single large evaluations are split into
-        #: disjoint sample-row blocks classified in parallel (integer
-        #: counts are additive over row blocks, so results are identical).
-        self.executor = executor
 
     def _tick(self) -> None:
         """Emit an ``oracle-eval`` event every few candidate evaluations."""
@@ -296,77 +280,6 @@ class GlobalTrussOracle:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = estimates
 
-    def _classify(
-        self, edges: list[Edge], nodes: list[Node], k: int,
-        packed: np.ndarray, candidate_rows: np.ndarray,
-    ) -> dict[Edge, int]:
-        return kernels.classify_worlds_packed(
-            edges, nodes, k, packed, candidate_rows
-        )
-
-    def _parallel_min_cells(self) -> int:
-        """The dispatch threshold: calibrated by the executor, else fixed."""
-        calibrated = getattr(self.executor, "parallel_min_cells", None)
-        return self._PARALLEL_MIN_CELLS if calibrated is None else calibrated
-
-    def _parallel_worthwhile(self, n_edges: int, n_rows: int) -> bool:
-        return (
-            self.executor is not None
-            and getattr(self.executor, "pool_workers", 1) > 1
-            and n_edges * n_rows >= self._parallel_min_cells()
-        )
-
-    def _parallel_counts(
-        self, edges: list[Edge], nodes: list[Node], k: int,
-        packed: np.ndarray, candidate_rows: np.ndarray,
-    ) -> tuple[dict[Edge, int], int]:
-        """Classify row blocks in worker processes and sum the counts.
-
-        The parent projects the packed columns *once* and ships each
-        worker only the byte rows its sample-row block touches — workers
-        never re-project (the old per-block ``presence_matrix`` call
-        paid the full projection once per worker) and never unpack
-        beyond their own partial rows.
-
-        Returns ``(totals, denominator)``. A block whose payload was
-        quarantined by the supervision layer contributes nothing to the
-        totals and its rows leave the denominator — the estimate then
-        reads over the ``N - rows_lost`` samples actually classified,
-        exactly like truncated sampling, and the executor records the
-        loss so the harness can widen the reported epsilon.
-        """
-        from repro.parallel.supervisor import QUARANTINED
-
-        blocks = np.array_split(candidate_rows, self.executor.pool_workers)
-        payloads = []
-        for block in blocks:
-            if not block.size:
-                continue
-            # Byte-aligned slice covering this block's sample rows; the
-            # block's row indices become relative to the slice start.
-            byte_lo = int(block[0]) >> 3
-            byte_hi = (int(block[-1]) >> 3) + 1
-            payloads.append((
-                list(edges), list(nodes), k,
-                np.ascontiguousarray(packed[byte_lo:byte_hi]),
-                block - (byte_lo << 3),
-            ))
-        results = self.executor.map(
-            "oracle-block", payloads, progress=self._progress,
-            on_quarantine="skip",
-        )
-        totals = {e: 0 for e in edges}
-        rows_lost = 0
-        for payload, counts in zip(payloads, results):
-            if counts is QUARANTINED:
-                rows_lost += len(payload[4])
-                continue
-            for e, c in zip(edges, counts):
-                totals[e] += c
-        if rows_lost:
-            self.executor.note_sample_loss(rows_lost)
-        return totals, max(self._samples.n_samples - rows_lost, 0)
-
     def alpha_estimates(
         self, subgraph: ProbabilisticGraph, k: int
     ) -> dict[Edge, float]:
@@ -395,14 +308,9 @@ class GlobalTrussOracle:
             candidate_rows = np.flatnonzero(
                 row_sums >= _minimum_world_edges(len(nodes), k)
             )
-            if self._parallel_worthwhile(len(edges), candidate_rows.size):
-                counts, denominator = self._parallel_counts(
-                    edges, nodes, k, packed, candidate_rows
-                )
-            else:
-                counts = self._classify(
-                    edges, nodes, k, packed, candidate_rows
-                )
+            counts = kernels.classify_worlds_packed(
+                edges, nodes, k, packed, candidate_rows
+            )
         if denominator > 0:
             estimates = {e: c / denominator for e, c in counts.items()}
         else:
@@ -458,20 +366,6 @@ class GlobalTrussOracle:
         )
         if (upper < needed).any():
             return False
-        if self._parallel_worthwhile(len(edges), candidate_rows.size):
-            # Full counts over disjoint row blocks: the serial early-exit
-            # below is a sound False fast-path, so completing the count
-            # yields the same boolean (and the same cached estimates as a
-            # completed serial pass).
-            counts, denominator = self._parallel_counts(
-                edges, node_list, k, packed, candidate_rows
-            )
-            if denominator > 0:
-                estimates = {e: counts[e] / denominator for e in edges}
-            else:
-                estimates = {e: 0.0 for e in edges}
-            self._remember(key, estimates)
-            return all(a >= threshold for a in estimates.values())
         # One batched C-level connectivity pass over all unique patterns,
         # then (for k >= 3 only) one whole-array truss pass over the
         # connected ones. Pattern dedup happens in the packed domain:

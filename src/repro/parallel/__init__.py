@@ -1,13 +1,13 @@
 """Multi-core execution layer (``--workers N``).
 
-Fans the compute-bound stages — GBU seed evaluation, GTD component
-search, oversized oracle evaluations, and reliability sample batches —
-across worker processes while keeping results bit-identical to the
-``workers=1`` inline path. The peel decompositions stay serial: their
-initial support PMFs are one batched DP, cheaper than a pool start. The world
-sample set is published once into :mod:`multiprocessing.shared_memory`;
-workers project candidates against the same physical pages with zero
-copying.
+Fans the compute-bound stages — GBU seed evaluation, GTD frontier
+shards, and reliability sample batches — across worker processes while
+keeping results bit-identical to the ``workers=1`` inline path. Each
+oracle evaluation runs whole inside one task. The peel decompositions
+stay serial: their initial support PMFs are one batched DP, cheaper than
+a pool start. The world sample set is published once into
+:mod:`multiprocessing.shared_memory`; workers project candidates
+against the same physical pages with zero copying.
 
 Execution is *supervised* (:mod:`repro.parallel.supervisor`): a worker
 that crashes or hangs is killed and replaced, only its in-flight payload

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.global_truss import GlobalTrussOracle
-from repro.core.kernels import classify_worlds_packed, deletion_clusters
+from repro.core.kernels import deletion_clusters
 from repro.core.reliability import count_connected_rows
 from repro.parallel.shared import SharedSamplesHandle, attach_samples
 
@@ -221,39 +221,6 @@ def _gtd_frontier(state: WorkerState, payload):
     return out
 
 
-def _oracle_block(state: WorkerState, payload):
-    """Classify one block of sample rows for a single oracle evaluation.
-
-    Payload: ``(edges, nodes, k, packed, rows)`` where ``packed`` is the
-    byte-aligned slice of the parent's *packed* column projection
-    covering this block and ``rows`` the block's sample indices relative
-    to the slice start. The parent projects once and ships each worker
-    only its own bytes — the old payload made every worker re-project
-    the full boolean ``presence_matrix`` (8x unpacked) for its block.
-    Returns integer counts in ``edges`` order; the parent sums the
-    blocks (counts are additive over disjoint row sets).
-    """
-    state.check_cancel()
-    edges, nodes, k, packed, rows = payload
-    edges = [tuple(e) for e in edges]
-    counts = classify_worlds_packed(
-        edges, nodes, k, np.asarray(packed, dtype=np.uint8),
-        np.asarray(rows, dtype=np.int64),
-    )
-    return [counts[e] for e in edges]
-
-
-def _calibrate(state: WorkerState, payload):
-    """No-op round-trip probe for the dispatch-cost calibration.
-
-    The executor times a pool-wide map of these at startup to measure
-    what one payload's serialize/queue/wake/return actually costs on
-    this machine, replacing the fixed ``_PARALLEL_MIN_CELLS`` guess.
-    """
-    state.check_cancel()
-    return None
-
-
 def _reliability_block(state: WorkerState, payload):
     """Count connected worlds in one batch of reliability samples.
 
@@ -273,10 +240,8 @@ def _reliability_block(state: WorkerState, payload):
 
 
 TASKS = {
-    "calibrate": _calibrate,
     "gbu-seed": _gbu_seed,
     "gtd-frontier": _gtd_frontier,
-    "oracle-block": _oracle_block,
     "reliability-block": _reliability_block,
 }
 

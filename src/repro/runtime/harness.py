@@ -272,15 +272,13 @@ class _Run:
                detail=None, **fields) -> PartialResult:
         """Assemble the run's :class:`PartialResult`.
 
-        Folds in the executor's quarantine records and its worst
-        sample-row loss: the worst single oracle evaluation classified
-        only ``n_drawn - rows_lost`` samples, so epsilon widens to that
-        count exactly like truncated sampling. A complete run's
-        checkpoint is garbage-collected (``batches_drawn`` bounds the
-        sample batches kept).
+        Folds in the executor's quarantine records, and widens epsilon
+        to the ``n_drawn``-sample Hoeffding bound when sampling stopped
+        short of ``n_requested``. A complete run's checkpoint is
+        garbage-collected (``batches_drawn`` bounds the sample batches
+        kept).
         """
         quarantined = self.executor.quarantined if self.executor else []
-        rows_lost = self.executor.sample_rows_lost if self.executor else 0
         reasons = list(self.reasons)
         if quarantined:
             reasons.append(
@@ -291,14 +289,7 @@ class _Run:
                       **(detail or {})}
         effective = epsilon
         if n_requested is not None:
-            n_used = n_drawn - rows_lost
-            effective = _widened_epsilon(epsilon, delta, n_requested, n_used)
-            if rows_lost:
-                reasons.append(
-                    f"worst oracle evaluation lost {rows_lost} sample rows "
-                    "to quarantined blocks; epsilon widened to the "
-                    f"{n_used}-sample Hoeffding bound"
-                )
+            effective = _widened_epsilon(epsilon, delta, n_requested, n_drawn)
         if complete and self._checkpointing:
             # The run is done: stale mid-peel snapshots, torn temp
             # files, and out-of-range sample batches are dead weight.
@@ -372,9 +363,9 @@ def run_global(
         may hold a worker before it is killed and retried, and how many
         strikes (crashes or timeouts) a payload survives before being
         quarantined. Quarantines degrade honestly — the result notes
-        every poison payload, oracle evaluations that lost sample rows
-        widen the effective epsilon, and a quarantined GTD component
-        falls back to GBU for that component only.
+        every poison payload, a quarantined GBU seed is skipped, and a
+        quarantined GTD frontier shard sends its component to GBU for
+        that component only.
     checkpoint_dir / resume:
         Snapshot directory; with ``resume`` an existing compatible
         checkpoint is continued bit-identically.

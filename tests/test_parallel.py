@@ -183,6 +183,49 @@ class TestParallelEquivalence:
         assert results[0] == results[1]
 
 
+class TestPoolDispatch:
+    """A live pool dispatches only real work, and classifies nothing
+    in the parent: every candidate test runs inside a worker task."""
+
+    def test_pool_start_runs_no_map(self):
+        with ParallelExecutor(2, graph=running_example()) as ex:
+            assert ex.pool_workers == 2
+            assert ex.supervision_stats()["maps"] == 0
+
+    @pytest.mark.parametrize("method", ["gbu", "gtd"])
+    def test_parent_classifies_nothing(self, method, monkeypatch):
+        from repro.core import kernels
+
+        parent = os.getpid()
+        calls = {"serial": 0, "pool": 0}
+        phase = ["serial"]
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                if os.getpid() == parent:
+                    calls[phase[0]] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [
+            (kernels, "classify_worlds_packed"),
+            (kernels, "dedup_candidate_patterns"),
+            (kernels.WorldClassifier, "connected_mask"),
+        ]:
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+        graph = gnp_graph(13, 0.35, seed=7)
+        runs = {}
+        for workers, label in ((None, "serial"), (2, "pool")):
+            phase[0] = label
+            runs[label] = canon(global_truss_decomposition(
+                graph, GAMMA, method=method, seed=5, n_samples=120,
+                workers=workers,
+            ))
+        assert calls["serial"] > 0  # the wrappers do see the oracle
+        assert calls["pool"] == 0
+        assert runs["pool"] == runs["serial"]
+
+
 class TestParallelResume:
     """Kill/resume composes with workers — even across worker counts."""
 
