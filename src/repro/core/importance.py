@@ -17,6 +17,11 @@ free; the tilt only controls variance. The default tilt lifts every
 edge probability to at least ``tilt_floor`` (0.75), which concentrates
 sampling mass on the near-complete worlds that dominate small-gamma
 qualification events.
+
+All drawn worlds are classified at once by the Monte-Carlo oracle's
+packed kernel (:class:`~repro.core.kernels.WorldClassifier`'s
+``connected_mask`` and, for k >= 3, ``truss_mask``); only the
+qualifying worlds are then walked, in draw order, to sum their weights.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.global_truss import world_is_connected_ktruss
+from repro.core.kernels import WorldClassifier
 
 __all__ = ["alpha_importance", "ImportanceEstimate"]
 
@@ -125,21 +130,19 @@ def alpha_importance(
         # q == 1 only when p == 1: absent outcome never sampled there.
 
     draws = rng.random((n_samples, m)) < q
-    qualifying = 0
+    classifier = WorldClassifier(edges, nodes, k)
+    qualifying = classifier.connected_mask(draws)
+    if k > 2:
+        qualifying[qualifying] = classifier.truss_mask(draws[qualifying])
+    # Row order keeps every weight sum's float addition order.
     weights_seen: list[float] = []
-    for row in draws:
-        present_idx = np.flatnonzero(row)
-        present = [edges[j] for j in present_idx]
-        if not present:
-            continue
-        if not world_is_connected_ktruss(nodes, present, k):
-            continue
-        qualifying += 1
+    for i in np.flatnonzero(qualifying).tolist():
+        row = draws[i]
         log_w = float(log_present[row].sum() + log_absent[~row].sum())
         w = math.exp(log_w)
         weights_seen.append(w)
-        for e in present:
-            totals[e] += w
+        for j in np.flatnonzero(row):
+            totals[edges[j]] += w
 
     estimates = {e: t / n_samples for e, t in totals.items()}
     if weights_seen:
@@ -148,5 +151,5 @@ def alpha_importance(
     else:
         ess = 0.0
     return ImportanceEstimate(
-        estimates, n_samples, qualifying / n_samples, ess
+        estimates, n_samples, len(weights_seen) / n_samples, ess
     )

@@ -278,7 +278,11 @@ class WorldClassifier:
     checked for all surviving patterns at once from the candidate's
     triangle incidence (:meth:`truss_mask`). Semantically identical to
     :func:`repro.core.global_truss.world_is_connected_ktruss`, orders of
-    magnitude faster in the Monte-Carlo oracle's inner loop.
+    magnitude faster in the Monte-Carlo oracle's inner loop. At k = 2
+    the same labelling answers Theorem 1's network reliability: the
+    Monte-Carlo estimates of :mod:`repro.core.reliability` and the
+    importance sampler of :mod:`repro.core.importance` classify their
+    sampled worlds here too.
     """
 
     __slots__ = ("n", "ends_u", "ends_v", "k")
@@ -294,23 +298,32 @@ class WorldClassifier:
         self.ends_v = np.array([index[v] for _, v in edges], dtype=np.int64)
         self.k = k
 
-    def connected_mask(self, patterns: np.ndarray) -> np.ndarray:
-        """Boolean mask: which patterns connect all ``n`` nodes.
+    def component_labels(self, patterns: np.ndarray) -> np.ndarray:
+        """The ``(P, n)`` component labels of every pattern's world.
 
         ``patterns`` is a (P, m) boolean matrix. Patterns are stacked
-        into one disjoint union (pattern t's nodes live at offset t*n),
-        its components are labelled by :func:`_component_labels`, and a
-        pattern is connected when all ``n`` of its nodes share a label.
-        The result is a fresh array the caller may overwrite.
+        into one disjoint union (pattern t's nodes live at offset t*n)
+        and its components are labelled by :func:`_component_labels`:
+        nodes ``a`` and ``b`` are connected in pattern ``t`` iff
+        ``labels[t, a] == labels[t, b]``.
         """
         n_patterns = patterns.shape[0]
-        if self.n == 0:
-            return np.zeros(n_patterns, dtype=bool)
         t_idx, j_idx = np.nonzero(patterns)
         rows = t_idx * self.n + self.ends_u[j_idx]
         cols = t_idx * self.n + self.ends_v[j_idx]
         labels, _ = _component_labels(rows, cols, n_patterns * self.n)
-        blocks = labels.reshape(n_patterns, self.n)
+        return labels.reshape(n_patterns, self.n)
+
+    def connected_mask(self, patterns: np.ndarray) -> np.ndarray:
+        """Boolean mask: which patterns connect all ``n`` nodes.
+
+        A pattern is connected when all ``n`` of its nodes share a
+        :meth:`component_labels` label. The result is a fresh array the
+        caller may overwrite.
+        """
+        if self.n == 0:
+            return np.zeros(patterns.shape[0], dtype=bool)
+        blocks = self.component_labels(patterns)
         return (blocks == blocks[:, :1]).all(axis=1)
 
     def truss_ok(self, present_columns: np.ndarray) -> bool:

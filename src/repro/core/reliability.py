@@ -16,14 +16,24 @@ graph's reliability. This module provides the quantity itself —
   infinite threshold);
 * :func:`theorem1_gadget` — builds the reduction instance, letting
   tests confirm ``alpha_2(gadget, pendant) == reliability`` exactly.
+
+Since reliability is alpha_2, the Monte-Carlo estimates ask the
+oracle's k = 2 question and use its packed kernel
+(:class:`~repro.core.kernels.WorldClassifier`): whole batches of
+sampled worlds are labelled at once instead of one Python walk per
+world. The exact enumerators keep the per-world reference predicates
+(:func:`~repro.core.global_truss.world_is_connected_ktruss`,
+:func:`~repro.graphs.components.component_of`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator
 
 import numpy as np
 
+from repro.core import kernels
+from repro.core.global_truss import world_is_connected_ktruss
 from repro.exceptions import NodeNotFoundError, ParameterError
 from repro.graphs.components import component_of, is_connected
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
@@ -44,22 +54,22 @@ Edge = tuple[Node, Node]
 _MAX_EXACT_EDGES = 22
 
 
-def _world_connects(nodes: list[Node], present: list[Edge]) -> bool:
-    adj: dict[Node, set[Node]] = {u: set() for u in nodes}
-    for u, v in present:
-        adj[u].add(v)
-        adj[v].add(u)
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(nodes)
+#: Sampled worlds x ``max(nodes, edges)`` per classified window of a
+#: sample set: the unpacked window and the kernel's disjoint-union
+#: labels stay a few MiB whatever ``N``, so a spilled sample set is
+#: never unpacked whole.
+_WINDOW_CELLS = 1 << 18
+
+
+def _presence_windows(samples: WorldSampleSet,
+                      n_nodes: int) -> Iterator[np.ndarray]:
+    """Yield the boolean presence rows of ``samples`` in row order and
+    bounded windows; columns in the sample set's edge order."""
+    packed = samples.packed_bits
+    step = max(1, _WINDOW_CELLS // max(1, n_nodes, samples.n_edges))
+    for lo in range(0, samples.n_samples, step):
+        rows = np.arange(lo, min(lo + step, samples.n_samples))
+        yield kernels.gather_rows(packed, rows)
 
 
 def count_connected_rows(nodes: list[Node], edges: list[Edge],
@@ -67,21 +77,15 @@ def count_connected_rows(nodes: list[Node], edges: list[Edge],
     """Count rows of ``presence`` whose world connects all ``nodes``.
 
     ``presence`` is a boolean ``(rows, len(edges))`` batch matrix with
-    columns in ``edges`` order. The count is additive over disjoint row
-    sets, which is what lets the reliability harness fan batches across
-    worker processes without changing the estimate.
+    columns in ``edges`` order. All rows are classified at once by the
+    packed oracle's k = 2 test,
+    :meth:`~repro.core.kernels.WorldClassifier.connected_mask`. The
+    count is additive over disjoint row sets, which is what lets the
+    reliability harness fan batches across worker processes without
+    changing the estimate.
     """
-    n = len(nodes)
-    if n == 0:
-        return 0
-    if n == 1:
-        return int(presence.shape[0])
-    hits = 0
-    for row in presence:
-        present = [edges[j] for j in np.flatnonzero(row)]
-        if _world_connects(nodes, present):
-            hits += 1
-    return hits
+    classifier = kernels.WorldClassifier(edges, nodes, 2)
+    return int(classifier.connected_mask(presence).sum())
 
 
 def network_reliability_exact(graph: ProbabilisticGraph) -> float:
@@ -117,7 +121,7 @@ def network_reliability_exact(graph: ProbabilisticGraph) -> float:
                 present.append(edges[i])
             else:
                 world_prob *= 1.0 - probs[i]
-        if world_prob and _world_connects(nodes, present):
+        if world_prob and world_is_connected_ktruss(nodes, present, 2):
             total += world_prob
     return total
 
@@ -137,10 +141,11 @@ def network_reliability_mc(
     if samples is None:
         samples = WorldSampleSet.from_graph(graph, n_samples, seed=seed)
     nodes = list(graph.nodes())
-    hits = 0
-    for present in samples.iter_worlds():
-        if _world_connects(nodes, list(present)):
-            hits += 1
+    edges = list(samples.edge_index)
+    hits = sum(
+        count_connected_rows(nodes, edges, presence)
+        for presence in _presence_windows(samples, n)
+    )
     return hits / samples.n_samples
 
 
@@ -193,27 +198,14 @@ def two_terminal_reliability_mc(
     if s == t:
         return 1.0
     samples = WorldSampleSet.from_graph(graph, n_samples, seed=seed)
-    adjacency_template = {u: set() for u in graph.nodes()}
+    nodes = list(graph.nodes())
+    edges = list(samples.edge_index)
+    classifier = kernels.WorldClassifier(edges, nodes, 2)
+    i, j = nodes.index(s), nodes.index(t)
     hits = 0
-    for present in samples.iter_worlds():
-        adj = {u: set() for u in adjacency_template}
-        for u, v in present:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {s}
-        stack = [s]
-        found = False
-        while stack and not found:
-            x = stack.pop()
-            for y in adj[x]:
-                if y == t:
-                    found = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if found:
-            hits += 1
+    for presence in _presence_windows(samples, len(nodes)):
+        labels = classifier.component_labels(presence)
+        hits += int((labels[:, i] == labels[:, j]).sum())
     return hits / samples.n_samples
 
 

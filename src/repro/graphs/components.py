@@ -29,18 +29,10 @@ def connected_components(graph: ProbabilisticGraph) -> Iterator[set[Node]]:
     """Yield the node sets of the connected components of ``graph``."""
     seen: set[Node] = set()
     for start in graph.nodes():
-        if start in seen:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if v not in component:
-                    component.add(v)
-                    queue.append(v)
-        seen |= component
-        yield component
+        if start not in seen:
+            component = component_of(graph, start)
+            seen |= component
+            yield component
 
 
 def component_of(graph: ProbabilisticGraph, node: Node) -> set[Node]:

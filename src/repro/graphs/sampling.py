@@ -396,32 +396,14 @@ class WorldSampleSet:
     ) -> "WorldSampleSet":
         """Draw ``n_samples`` worlds from ``graph`` with a seedable RNG.
 
-        With ``batch_size`` the draw happens in row batches and
+        The draw runs through a :class:`SampleBatcher` in row batches of
+        ``batch_size`` (default: one batch of ``n_samples``), and
         ``progress`` (a hook taking a
         :class:`~repro.runtime.progress.ProgressEvent`) is called after
         each batch — the cooperative cancellation point budgets and
-        interrupt guards use. Batched and single-shot draws are
-        bit-identical for the same seed.
+        interrupt guards use. Every batch size gives bit-identical
+        worlds for the same seed.
         """
-        if n_samples <= 0:
-            raise ParameterError(f"n_samples must be positive, got {n_samples}")
-        if batch_size is None and progress is None:
-            rng = (
-                seed
-                if isinstance(seed, np.random.Generator)
-                else np.random.default_rng(seed)
-            )
-            edges: list[Edge] = []
-            probs: list[float] = []
-            for u, v, p in graph.edges_with_probabilities():
-                edges.append((u, v))
-                probs.append(p)
-            if edges:
-                presence = rng.random((n_samples, len(edges))) < np.asarray(probs)
-            else:
-                presence = np.zeros((n_samples, 0), dtype=bool)
-            return cls(presence, edges)
-
         from repro.runtime.progress import ProgressEvent
 
         batcher = SampleBatcher(

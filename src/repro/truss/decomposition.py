@@ -177,23 +177,17 @@ def k_truss_subgraph(graph: ProbabilisticGraph, k: int) -> ProbabilisticGraph:
     """Return the maximal subgraph in which every edge has support >= k - 2.
 
     This is the union of all maximal k-trusses (possibly disconnected);
-    isolated nodes are dropped. Computed by iterated removal of
-    under-supported edges.
+    isolated nodes are dropped. The edges are those
+    :func:`k_truss_edges` keeps; nodes and edges stay in ``graph``'s
+    order.
     """
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
+    kept = k_truss_edges(graph, set(graph.edges()), k)
     work = graph.copy()
-    changed = True
-    while changed:
-        changed = False
-        doomed = [
-            (u, v)
-            for u, v in work.edges()
-            if len(work.common_neighbors(u, v)) < k - 2
-        ]
-        for u, v in doomed:
+    for u, v in graph.edges():
+        if (u, v) not in kept:
             work.remove_edge(u, v)
-            changed = True
     work.remove_isolated_nodes()
     return work
 

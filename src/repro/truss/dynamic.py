@@ -27,6 +27,7 @@ from collections import deque
 from collections.abc import Hashable
 
 from repro.exceptions import EdgeNotFoundError, ParameterError
+from repro.graphs.components import component_of
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.support_prob import tail_at
 from repro.truss.decomposition import k_truss_edges
@@ -96,21 +97,13 @@ class DynamicTruss:
             if edge_key(u, w) in edges and edge_key(v, w) in edges
         )
 
-    def _affected_region(self, u: Node, v: Node) -> set[Edge]:
-        """All current graph edges connected (via shared nodes) to {u, v}."""
-        region: set[Edge] = set()
-        seen_nodes: set[Node] = set()
-        stack = [x for x in (u, v) if self._graph.has_node(x)]
-        while stack:
-            x = stack.pop()
-            if x in seen_nodes:
-                continue
-            seen_nodes.add(x)
-            for y in self._graph.neighbors(x):
-                region.add(edge_key(x, y))
-                if y not in seen_nodes:
-                    stack.append(y)
-        return region
+    def _affected_region(self, u: Node) -> set[Edge]:
+        """All current graph edges of the component containing ``u``."""
+        return {
+            edge_key(x, y)
+            for x in component_of(self._graph, u)
+            for y in self._graph.neighbors(x)
+        }
 
     # ------------------------------------------------------------------
     def insert_edge(self, u: Node, v: Node, probability: float = 1.0) -> None:
@@ -131,7 +124,7 @@ class DynamicTruss:
             raise ParameterError(
                 f"edge ({u!r}, {v!r}) already present; duplicate insert")
         self._graph.add_edge(u, v, probability)
-        region = self._affected_region(u, v)
+        region = self._affected_region(u)
         self._truss -= region
         self._truss |= k_truss_edges(self._graph, region, self._k)
 

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro import ParameterError, ProbabilisticGraph, alpha_exact
+from repro.core.global_truss import world_is_connected_ktruss
 from repro.core.importance import alpha_importance
 from repro.graphs.generators import complete_graph, running_example
+from repro.graphs.probabilistic import edge_key
+from tests.conftest import random_probabilistic_graph
 
 
 class TestValidation:
@@ -96,3 +99,94 @@ class TestRareEventRegime:
         assert 0.0 < estimate.qualifying_fraction <= 1.0
         assert 0.0 < estimate.effective_sample_size <= 500
         assert estimate.n_samples == 500
+
+
+def _alpha_importance_reference(subgraph, k, n_samples, seed, tilt_floor):
+    """The per-world loop ``alpha_importance`` ran before it classified
+    all draws with the packed kernel: ``(items, n_samples,
+    qualifying_fraction, effective_sample_size)``."""
+    rng = np.random.default_rng(seed)
+    edges, p = [], []
+    for u, v, prob in subgraph.edges_with_probabilities():
+        edges.append(edge_key(u, v))
+        p.append(prob)
+    nodes = list(subgraph.nodes())
+    m = len(edges)
+    totals = {e: 0.0 for e in edges}
+    p = np.asarray(p)
+    q = np.where(p > 0.0, np.maximum(p, tilt_floor), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_present = np.where(q > 0, np.log(p) - np.log(q), 0.0)
+        log_absent = np.where(q < 1.0, np.log1p(-p) - np.log1p(-q), 0.0)
+    draws = rng.random((n_samples, m)) < q
+    qualifying = 0
+    weights_seen = []
+    for row in draws:
+        present = [edges[j] for j in np.flatnonzero(row)]
+        if not present:
+            continue
+        if not world_is_connected_ktruss(nodes, present, k):
+            continue
+        qualifying += 1
+        w = math.exp(float(log_present[row].sum() + log_absent[~row].sum()))
+        weights_seen.append(w)
+        for e in present:
+            totals[e] += w
+    items = [(e, t / n_samples) for e, t in totals.items()]
+    if weights_seen:
+        ws = np.asarray(weights_seen)
+        ess = float(ws.sum() ** 2 / (ws ** 2).sum())
+    else:
+        ess = 0.0
+    return items, n_samples, qualifying / n_samples, ess
+
+
+def _reference_graphs():
+    g = running_example()
+    isolated = complete_graph(5, 0.7)
+    isolated.add_node("lonely")
+    mixed = ProbabilisticGraph(
+        [(0, "a", 0.9), ("a", 1, 0.7), (1, 0, 0.6), (1, "b", 0.85),
+         ("b", 0, 0.95), ("a", "b", 0.5)]
+    )
+    return {
+        "h1": g.subgraph(["q1", "q2", "v1", "v2", "v3"]),
+        "h2": g.subgraph(["q1", "v1", "v2", "v3"]),
+        "isolated": isolated,
+        "mixed": mixed,
+        "random": random_probabilistic_graph(7, 0.7, 2),
+    }
+
+
+class TestAgainstPerWorldReference:
+    """Items and diagnostics are bit-equal to the per-world loop."""
+
+    @staticmethod
+    def _bits(items, n, fraction, ess):
+        return ([(e, v.hex()) for e, v in items], n, fraction.hex(),
+                float(ess).hex())
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(_reference_graphs()))
+    def test_bit_equal(self, name, k):
+        g = _reference_graphs()[name]
+        for seed, floor in ((1, 0.75), (2, 0.9)):
+            got = alpha_importance(g, k, n_samples=300, seed=seed,
+                                   tilt_floor=floor)
+            want = _alpha_importance_reference(g, k, 300, seed, floor)
+            assert self._bits(list(got.items()), got.n_samples,
+                              got.qualifying_fraction,
+                              got.effective_sample_size) == self._bits(*want)
+
+    def test_cases_are_not_degenerate(self):
+        """Most cases qualify some worlds, and the isolated-node graph's
+        other nodes do connect, so a classifier that forgot the
+        isolated node would credit them."""
+        graphs = _reference_graphs()
+        nonzero = sum(
+            _alpha_importance_reference(g, k, 300, 1, 0.75)[2] > 0.0
+            for g in graphs.values() for k in (2, 3, 4)
+        )
+        assert nonzero >= 8
+        core = graphs["isolated"].subgraph(range(5))
+        assert _alpha_importance_reference(core, 2, 300, 1, 0.75)[2] > 0.0

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import NodeNotFoundError, ParameterError, ProbabilisticGraph, alpha_exact
+from repro.core import reliability
 from repro.core.reliability import (
+    count_connected_rows,
     network_reliability_exact,
     network_reliability_mc,
     theorem1_gadget,
@@ -13,6 +16,7 @@ from repro.core.reliability import (
     two_terminal_reliability_mc,
 )
 from repro.graphs.generators import complete_graph
+from repro.graphs.sampling import WorldSampleSet
 from tests.conftest import random_probabilistic_graph
 
 
@@ -127,3 +131,131 @@ class TestTheorem1Reduction:
             theorem1_gadget(triangle, "zzz")
         with pytest.raises(ParameterError):
             theorem1_gadget(triangle, "a", pendant="b")
+
+
+def _world_connects(nodes, present):
+    """Reference: a per-world DFS over all ``nodes`` (the walk the
+    Monte-Carlo estimates ran before they used the packed kernel)."""
+    adj = {u: set() for u in nodes}
+    for u, v in present:
+        adj[u].add(v)
+        adj[v].add(u)
+    if not nodes:
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(nodes)
+
+
+def _st_connects(nodes, present, s, t):
+    """Reference: the per-world s-t DFS of the two-terminal estimate."""
+    adj = {u: set() for u in nodes}
+    for u, v in present:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {s}
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y == t:
+                return True
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def _differential_graphs():
+    """Named graphs: an isolated node beside a likely-connected part,
+    a single node, nodes without edges, mixed int/str nodes, and a
+    plain random graph."""
+    isolated = complete_graph(5, 0.8)
+    isolated.add_node("lonely")
+    single = ProbabilisticGraph()
+    single.add_node(7)
+    edgeless = ProbabilisticGraph()
+    for u in ("a", "b", "c"):
+        edgeless.add_node(u)
+    mixed = ProbabilisticGraph(
+        [(0, "a", 0.9), ("a", 1, 0.7), (1, 0, 0.6), (1, "b", 0.85),
+         ("b", 2, 0.95), (2, 0, 0.5)]
+    )
+    return {
+        "isolated": isolated,
+        "single": single,
+        "edgeless": edgeless,
+        "mixed": mixed,
+        "random": random_probabilistic_graph(7, 0.6, 4),
+    }
+
+
+class TestKernelAgainstPerWorldReference:
+    """The packed kernel's counts equal the per-world DFS references."""
+
+    @pytest.fixture(params=[None, 64], ids=["one-window", "small-windows"])
+    def windows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(reliability, "_WINDOW_CELLS", request.param)
+
+    @pytest.mark.parametrize("name", list(_differential_graphs()))
+    def test_count_connected_rows(self, name):
+        g = _differential_graphs()[name]
+        nodes, edges = list(g.nodes()), list(g.edges())
+        presence = np.random.default_rng(3).random((150, len(edges))) < 0.75
+        want = sum(
+            _world_connects(nodes, [edges[j] for j in np.flatnonzero(row)])
+            for row in presence
+        )
+        assert count_connected_rows(nodes, edges, presence) == want
+
+    @pytest.mark.parametrize("name", list(_differential_graphs()))
+    def test_network_reliability_mc_spilled(self, name, windows, tmp_path):
+        g = _differential_graphs()[name]
+        samples = WorldSampleSet.from_graph(g, 301, seed=8)
+        samples.spill_to(tmp_path / "worlds.bits")
+        nodes = list(g.nodes())
+        hits = sum(_world_connects(nodes, list(world))
+                   for world in samples.iter_worlds())
+        assert network_reliability_mc(g, samples=samples) == hits / 301
+
+    @pytest.mark.parametrize("name", list(_differential_graphs()))
+    def test_network_reliability_mc(self, name, windows):
+        g = _differential_graphs()[name]
+        samples = WorldSampleSet.from_graph(g, 257, seed=5)
+        nodes = list(g.nodes())
+        hits = sum(_world_connects(nodes, list(world))
+                   for world in samples.iter_worlds())
+        assert network_reliability_mc(g, n_samples=257, seed=5) == hits / 257
+
+    @pytest.mark.parametrize("name", list(_differential_graphs()))
+    def test_two_terminal_reliability_mc(self, name, windows):
+        g = _differential_graphs()[name]
+        nodes = list(g.nodes())
+        samples = WorldSampleSet.from_graph(g, 203, seed=6)
+        worlds = list(samples.iter_worlds())
+        for s in nodes:
+            for t in nodes:
+                if s == t:
+                    continue
+                hits = sum(_st_connects(nodes, w, s, t) for w in worlds)
+                got = two_terminal_reliability_mc(g, s, t, n_samples=203,
+                                                  seed=6)
+                assert got == hits / 203, (s, t)
+
+    def test_cases_are_not_degenerate(self):
+        """The isolated-node graph's other nodes do connect, so a
+        classifier that forgot the isolated node would count them."""
+        g = _differential_graphs()["isolated"]
+        samples = WorldSampleSet.from_graph(g, 257, seed=5)
+        core = [u for u in g.nodes() if u != "lonely"]
+        assert any(_world_connects(core, list(w))
+                   for w in samples.iter_worlds())
+        assert 0.0 < network_reliability_mc(
+            _differential_graphs()["random"], n_samples=257, seed=5) < 1.0

@@ -185,3 +185,41 @@ class TestWorldSampleSet:
             WorldSampleSet(
                 np.zeros((3, 2), dtype=bool), [("a", "b"), ("a", "b")]
             )
+
+
+class TestFromGraphBatching:
+    """``from_graph`` always draws through ``SampleBatcher``; every
+    batch size, with or without a progress hook, gives the worlds of
+    one single-shot draw of the same seed."""
+
+    N = 45
+
+    @staticmethod
+    def _single_shot(graph, n, seed):
+        probs = [p for _, _, p in graph.edges_with_probabilities()]
+        presence = np.random.default_rng(seed).random((n, len(probs)))
+        return np.packbits(presence < np.asarray(probs), axis=0)
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 7, N])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_packed_bits_equal_single_shot(self, paper_graph, batch_size,
+                                           hooked):
+        events = []
+        samples = WorldSampleSet.from_graph(
+            paper_graph, self.N, seed=11, batch_size=batch_size,
+            progress=events.append if hooked else None,
+        )
+        assert np.array_equal(samples.packed_bits,
+                              self._single_shot(paper_graph, self.N, 11))
+        n_batches = -(-self.N // (batch_size or self.N))
+        if hooked:
+            assert [e.phase for e in events] == ["sample-batch"] * n_batches
+            assert [e.step for e in events] == list(range(n_batches))
+            assert all(e.total == n_batches for e in events)
+
+    def test_edgeless_graph(self):
+        graph = ProbabilisticGraph()
+        graph.add_node("x")
+        samples = WorldSampleSet.from_graph(graph, 9, seed=1, batch_size=4)
+        assert samples.n_samples == 9
+        assert samples.packed_bits.shape == (2, 0)

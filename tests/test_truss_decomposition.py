@@ -414,3 +414,45 @@ class TestLevelQueue:
         assert q.level == {}
         with pytest.raises(IndexError):
             q.pop_min()
+
+
+def _k_truss_subgraph_reference(graph, k):
+    """The round-by-round removal loop ``k_truss_subgraph`` ran before
+    it reduced through ``k_truss_edges``."""
+    work = graph.copy()
+    changed = True
+    while changed:
+        changed = False
+        doomed = [
+            (u, v)
+            for u, v in work.edges()
+            if len(work.common_neighbors(u, v)) < k - 2
+        ]
+        for u, v in doomed:
+            work.remove_edge(u, v)
+            changed = True
+    work.remove_isolated_nodes()
+    return work
+
+
+class TestKTrussSubgraphReference:
+    """``k_truss_subgraph`` keeps the reference loop's nodes, edges,
+    probabilities and their order."""
+
+    @staticmethod
+    def _graphs():
+        from repro.datasets.registry import load_dataset
+        from repro.graphs.generators import gnp_graph
+
+        return [load_dataset("fruitfly", seed=1, scale=0.3),
+                _string_fruitfly()] + [gnp_graph(30, 0.3, seed=s)
+                                       for s in range(3)]
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_reference_loop(self, k):
+        for graph in self._graphs():
+            got = k_truss_subgraph(graph, k)
+            want = _k_truss_subgraph_reference(graph, k)
+            assert list(got.nodes()) == list(want.nodes())
+            assert (list(got.edges_with_probabilities())
+                    == list(want.edges_with_probabilities()))
