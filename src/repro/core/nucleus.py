@@ -45,9 +45,9 @@ error bound per cell. An s-clique retires once, when the first of its
 r-subcliques pops: that pop marks the s-clique's slot in each of the
 other r-subcliques and divides the slot's stored factor, the one the
 initial row folded in, out of their PMFs, so a later pop skips the slot
-without building a key. The arithmetic is the module-level functions
-of :mod:`repro.core.support_prob`, which
-:class:`~repro.core.support_prob.SupportProbability` calls too.
+without building a key. Each removal is
+:func:`~repro.core.support_prob.drop_factor`, the Eq. 8 step that
+:class:`~repro.core.support_prob.SupportProbability` takes for one cell.
 
 Two drivers pop cell ids over that one retirement step. The
 level-keyed :func:`nucleus_decomposition` pops from the
@@ -71,17 +71,15 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from collections import Counter
 from collections.abc import Hashable, Mapping
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.core.support_prob import (
-    ERROR_LIMIT,
     FRESH_ERROR,
-    deconvolve,
-    removal_error,
+    drop_factor,
+    live_factors,
     support_level,
     support_pmf,
     support_pmfs,
@@ -283,39 +281,25 @@ class _CellState:
         twin.errors = array("d", self.errors)
         return twin
 
-    def _live_factors(self, i: int) -> list[float]:
-        """Cell ``i``'s live factors, in the order a recompute folds them.
-
-        Per factor value, the last copies in apex order count as the
-        dead ones, whichever slots died: the multiset a removal of the
-        last equal copy leaves, in the order it leaves it (so the
-        rebuilt PMF keeps the bits of
-        :meth:`~repro.core.support_prob.SupportProbability.remove_triangle`'s
-        rebuild)."""
-        factors, dead = self.factors, self.dead
-        slots = range(self.offsets[i], self.offsets[i + 1])
-        drop = Counter(factors[j] for j in slots if dead[j])
-        live = []
-        for j in reversed(slots):
-            q = factors[j]
-            if drop[q]:
-                drop[q] -= 1
-            else:
-                live.append(q)
-        return live[::-1]
-
     def retire(self, i: int, method: str = "dp") -> list[int]:
         """The retirement step both drivers share: retire every live
         s-clique through cell ``i``, marking its slot dead in each other
         r-subclique and removing its stored factor from their PMFs
-        (Eq. 8 for ``"dp"``, rebuilt from the live factors when the
-        error bound trips; a full recompute for ``"baseline"``).
+        (:func:`~repro.core.support_prob.drop_factor` for ``"dp"``; a
+        full recompute for ``"baseline"``).
         Returns the affected ids."""
         cells, ids, apexes, offsets = (self.cells, self.ids, self.apexes,
                                        self.offsets)
         dead, factors, pmfs, errors = (self.dead, self.factors, self.pmfs,
                                        self.errors)
         dp = method == "dp"
+
+        def live():
+            # Called only inside drop_factor, so ``other`` is the cell
+            # being updated. One closure per call, not per removal.
+            lo, hi = offsets[other], offsets[other + 1]
+            return live_factors(factors[lo:hi], dead[lo:hi])
+
         cell = cells[i]
         first = offsets[i]
         affected: list[int] = []
@@ -330,15 +314,9 @@ class _CellState:
                 slot = offsets[other] + apexes[other].index(y)
                 dead[slot] = 1
                 if dp:
-                    # Eq. 8 deconvolution of S's factor.
-                    q = factors[slot]
-                    err = removal_error(errors[other], q)
-                    if err > ERROR_LIMIT:
-                        pmfs[other] = support_pmf(self._live_factors(other))
-                        err = FRESH_ERROR
-                    else:
-                        pmfs[other] = deconvolve(pmfs[other], q)
-                    errors[other] = err
+                    # The Eq. 8 removal of S's factor.
+                    pmfs[other], errors[other] = drop_factor(
+                        pmfs[other], errors[other], factors[slot], live)
                 affected.append(other)
         if not dp:
             # Recompute affected PMFs from scratch with the full

@@ -14,13 +14,11 @@ contributes a triangle independently with probability
   local decomposition: :func:`deconvolve` divides one destroyed
   triangle's Bernoulli factor out in O(k_e), :func:`removal_error`
   steps the error bound that says when to rebuild instead, and
-  :func:`support_level` and :func:`tail_at` read a PMF. The peel engine
-  (:mod:`repro.core.nucleus`) keeps its PMFs, factors and bounds in its
-  own id-indexed arrays and calls these functions directly;
-* :class:`SupportProbability` — one edge's live PMF with its factor
-  multiset, for callers without such arrays (the eta-degree, the
-  public API). Its methods call the same functions, so the Eq. (8)
-  arithmetic exists once;
+  :func:`support_level` and :func:`tail_at` read a PMF. The removal
+  step, :func:`drop_factor`, deconvolves or, once the bound trips,
+  rebuilds from :func:`live_factors`; the peel engine
+  (:mod:`repro.core.nucleus`) takes it for each of its cells, and
+  :class:`SupportProbability` is a one-cell view over it;
 * :func:`support_pmf_bruteforce` — the exponential possible-world sum of
   Eq. (2), used as a test oracle.
 
@@ -31,7 +29,8 @@ unconditional tail probabilities are obtained by multiplying by ``p(e)``
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections import Counter
+from collections.abc import Callable, Hashable, Sequence
 from itertools import combinations
 
 from repro.exceptions import ParameterError
@@ -47,6 +46,8 @@ __all__ = [
     "removal_error",
     "support_level",
     "tail_at",
+    "live_factors",
+    "drop_factor",
     "SupportProbability",
 ]
 
@@ -252,12 +253,44 @@ def removal_error(err: float, q: float) -> float:
     Repeated deconvolution amplifies floating-point error by roughly
     ``1 / |1 - 2q|`` per removal, which explodes when many near-0.5
     factors go. Once the returned bound exceeds :data:`ERROR_LIMIT`,
-    the caller rebuilds the PMF with :func:`support_pmf` from its
-    remaining factors instead (and restarts at :data:`FRESH_ERROR`).
+    :func:`drop_factor` rebuilds the PMF instead.
     """
     spread = abs(1.0 - 2.0 * q)
     amplification = 1.0 / spread if spread > 1e-6 else 1e6
     return err * amplification + 1e-15
+
+
+def live_factors(factors: Sequence[float], dead: Sequence[int]) -> list[float]:
+    """Return one cell's live factors, in the order a rebuild folds them.
+
+    ``factors`` is the cell's factor row in fold order and ``dead`` its
+    death marks, one per slot. Per factor value, the last copies in fold
+    order count as the dead ones, whichever slots died, so a rebuilt PMF
+    does not depend on which of several equal factors a removal named.
+    """
+    drop = Counter(q for q, d in zip(factors, dead) if d)
+    live = []
+    for q in reversed(factors):
+        if drop[q]:
+            drop[q] -= 1
+        else:
+            live.append(q)
+    return live[::-1]
+
+
+def drop_factor(pmf: list[float], err: float, q: float,
+                live: Callable[[], list[float]]) -> tuple[list[float], float]:
+    """The Eq. (8) removal step: take one Bernoulli(q) factor out of
+    ``pmf``, whose error bound is ``err``; return the new PMF and bound.
+
+    Deconvolves while :func:`removal_error` stays within
+    :data:`ERROR_LIMIT`; past it, rebuilds from ``live()``, the factors
+    left after the removal, and restarts at :data:`FRESH_ERROR`.
+    """
+    err = removal_error(err, q)
+    if err > ERROR_LIMIT:
+        return support_pmf(live()), FRESH_ERROR
+    return deconvolve(pmf, q), err
 
 
 def support_pmf_bruteforce(qs: Sequence[float]) -> list[float]:
@@ -281,35 +314,20 @@ def support_pmf_bruteforce(qs: Sequence[float]) -> list[float]:
 
 
 class SupportProbability:
-    """Live support PMF of one edge, supporting O(k_e) triangle removal.
+    """One edge's live support PMF: a one-cell view over :func:`drop_factor`.
 
-    Maintains ``f[i] = Pr[sup(e) = i | e exists]`` over the current set of
-    triangles through edge ``e``. When the local decomposition removes an
-    adjacent edge and thereby destroys the triangle with apex ``w``
-    (probability ``q_w``), :meth:`remove_triangle` *deconvolves* that
-    Bernoulli factor out of the PMF via Eq. (8):
-
-        f_new(i) = (f_old(i) - q * f_new(i-1)) / (1 - q)
-
-    with the degenerate ``q = 1`` case handled as a left shift (a
-    certain triangle contributes exactly one unit of support, so removing
-    it shifts the PMF down by one).
-
-    Numerical safety: repeated deconvolution amplifies floating-point
-    error by roughly ``1 / |1 - 2q|`` per removal, which explodes when
-    many near-0.5 triangles are removed. The object therefore tracks the
-    multiset of remaining triangle probabilities plus a running error
-    bound, and transparently recomputes the PMF from scratch (O(k_e^2))
-    the moment the bound degrades — keeping the common case O(k_e) and
-    the result always accurate.
+    Holds the triangle factors in fold order, one death mark per factor,
+    the conditional PMF ``f[i] = Pr[sup(e) = i | e exists]`` and its
+    error bound, so a removal takes the peel engine's own step.
     """
 
-    __slots__ = ("_pmf", "_qs", "_err")
+    __slots__ = ("_qs", "_dead", "_pmf", "_err")
 
     def __init__(self, qs: Sequence[float] = ()):
-        self._qs: list[float] | None = [float(q) for q in qs]
-        self._pmf: list[float] = support_pmf(self._qs)
-        self._err: float = FRESH_ERROR
+        self._qs = [float(q) for q in qs]
+        self._dead = bytearray(len(self._qs))
+        self._pmf = support_pmf(self._qs)
+        self._err = FRESH_ERROR
 
     @classmethod
     def from_edge(
@@ -322,39 +340,19 @@ class SupportProbability:
     def from_factors(
         cls, qs: Sequence[float], pmf: Sequence[float]
     ) -> "SupportProbability":
-        """Wrap a PMF together with the triangle factors that produced it.
-
-        ``pmf`` must be ``support_pmf(qs)`` computed elsewhere, for
-        example by one batched :func:`support_pmfs` call; the result is
-        a fully functional object (recompute safety net included)
-        without re-running the DP.
-        """
-        qs = [float(q) for q in qs]
-        pmf = [float(x) for x in pmf]
+        """Wrap ``pmf = support_pmf(qs)`` computed elsewhere, for example
+        by one batched :func:`support_pmfs` call, without re-running it."""
         if len(pmf) != len(qs) + 1:
             raise ParameterError(
                 f"PMF of length {len(pmf)} does not match "
                 f"{len(qs)} triangle factors"
             )
-        obj = cls.__new__(cls)
-        obj._pmf = pmf
-        obj._qs = qs
-        obj._err = FRESH_ERROR
-        return obj
-
-    @classmethod
-    def from_pmf(cls, pmf: Sequence[float]) -> "SupportProbability":
-        """Wrap an existing PMF (must sum to ~1); used by tests and copies."""
-        total = sum(pmf)
-        if abs(total - 1.0) > 1e-6:
-            raise ParameterError(f"PMF must sum to 1, sums to {total}")
-        obj = cls.__new__(cls)
+        obj = cls()
+        obj._qs = [float(q) for q in qs]
+        obj._dead = bytearray(len(qs))
         obj._pmf = [float(x) for x in pmf]
-        obj._qs = None  # unknown factors: no recompute safety net
-        obj._err = FRESH_ERROR
         return obj
 
-    # ------------------------------------------------------------------
     @property
     def max_support(self) -> int:
         """Current ``k_e`` — the number of (remaining) potential triangles."""
@@ -365,93 +363,28 @@ class SupportProbability:
         """Copy of the conditional PMF ``[f(0), ..., f(k_e)]``."""
         return list(self._pmf)
 
-    def probability_eq(self, i: int) -> float:
-        """Return ``Pr[sup(e) = i | e exists]`` (0 outside the range)."""
-        if 0 <= i < len(self._pmf):
-            return self._pmf[i]
-        return 0.0
-
     def tail(self, t: int) -> float:
         """Return ``sigma(e, t) = Pr[sup(e) >= t | e exists]``."""
         return tail_at(self._pmf, t)
 
     def level(self, gamma: float, edge_probability: float) -> int:
-        """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``
-        (:func:`support_level`: the edge's current local truss level)."""
+        """Return the edge's current local truss level (:func:`support_level`)."""
         if not 0.0 <= gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
         return support_level(self._pmf, gamma, edge_probability)
 
-    # ------------------------------------------------------------------
-    def add_triangle(self, q: float) -> None:
-        """Convolve a new Bernoulli(q) triangle into the PMF (O(k_e))."""
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
-        nxt = [0.0] * (len(self._pmf) + 1)
-        for i, mass in enumerate(self._pmf):
-            nxt[i] += (1.0 - q) * mass
-            nxt[i + 1] += q * mass
-        self._pmf = nxt
-        if self._qs is not None:
-            self._qs.append(float(q))
-
     def remove_triangle(self, q: float) -> None:
-        """Deconvolve a Bernoulli(q) triangle out of the PMF (Eq. 8, O(k_e)).
-
-        ``q`` must be one of the triangle probabilities previously folded
-        in (the caller is responsible for passing the right value — the
-        decomposition tracks them per apex). When the error bound of
-        :func:`removal_error` trips, the PMF is rebuilt exactly from the
-        tracked factors instead of deconvolved.
-        """
+        """Remove a live triangle of probability exactly ``q`` (Eq. 8):
+        mark the last live copy dead and take :func:`drop_factor`."""
         if not 0.0 <= q <= 1.0:
             raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
-        if len(self._pmf) == 1:
-            raise ParameterError("no triangles left to remove")
-        if self._qs is not None:
-            self._drop_factor(q)
-            self._err = removal_error(self._err, q)
-            if self._err > ERROR_LIMIT:
-                self._pmf = support_pmf(self._qs)
-                self._err = FRESH_ERROR
-                return
-        self._pmf = deconvolve(self._pmf, q)
-
-    def _drop_factor(self, q: float) -> None:
-        """Remove the factor matching ``q`` from the tracked multiset.
-
-        Callers that tracked the folded-in factor pass it
-        bit-identically, so an exact match is looked up first, scanning
-        from the end: the last equal copy goes, the one the near-match
-        scan below would pick, so a later recompute folds the remaining
-        factors in the same order. Only without an exact match does the
-        scan for a factor within 1e-9 run.
-        """
-        qs = self._qs
-        for best_idx in range(len(qs) - 1, -1, -1):
-            if qs[best_idx] == q:
+        qs, dead = self._qs, self._dead
+        for j in range(len(qs) - 1, -1, -1):
+            if qs[j] == q and not dead[j]:
                 break
         else:
-            best_idx = -1
-            best_diff = 1e-9
-            for i, value in enumerate(qs):
-                diff = abs(value - q)
-                if diff <= best_diff:
-                    best_idx = i
-                    best_diff = diff
-            if best_idx < 0:
-                raise ParameterError(
-                    f"no tracked triangle has probability {q!r}"
-                )
-        del qs[best_idx]
-
-    def copy(self) -> "SupportProbability":
-        """Return an independent copy."""
-        obj = SupportProbability.__new__(SupportProbability)
-        obj._pmf = list(self._pmf)
-        obj._qs = None if self._qs is None else list(self._qs)
-        obj._err = self._err
-        return obj
-
-    def __repr__(self) -> str:
-        return f"SupportProbability(k_e={self.max_support})"
+            raise ParameterError(
+                f"no triangles left to remove with probability {q!r}")
+        dead[j] = 1
+        self._pmf, self._err = drop_factor(self._pmf, self._err, q,
+                                           lambda: live_factors(qs, dead))

@@ -15,7 +15,7 @@ for N = 150 samples.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -496,55 +496,6 @@ class WorldSampleSet:
         if not cols:
             return np.zeros((self._n_samples, 0), dtype=bool)
         return kernels.unpack_matrix(self._packed[:, cols], self._n_samples)
-
-    def world_edges(
-        self, sample: int, restrict_to: Iterable[Edge] | None = None
-    ) -> set[Edge]:
-        """Return the edges present in world ``sample``.
-
-        With ``restrict_to``, only those edges are reported — i.e. the
-        edge set of the projected world ``G_sample ↓ H``.
-        """
-        from repro.core import kernels
-
-        if not 0 <= sample < self._n_samples:
-            raise ParameterError(
-                f"sample index {sample} out of range [0, {self._n_samples})"
-            )
-        if restrict_to is None:
-            candidates = list(self._edges)
-        else:
-            candidates = [edge_key(u, v) for u, v in restrict_to]
-        packed = self.packed_columns(candidates)
-        row = kernels.gather_rows(packed, np.array([sample]))[0]
-        return {candidates[j] for j in np.flatnonzero(row)}
-
-    #: Samples per chunk when iterating worlds; bounds the unpacked
-    #: working set to ``chunk x m`` bools regardless of N (spilled sets
-    #: stream through this window instead of materialising 8x N x m).
-    _ITER_CHUNK = 1024
-
-    def iter_worlds(
-        self, restrict_to: Iterable[Edge] | None = None
-    ) -> Iterator[set[Edge]]:
-        """Yield the (optionally projected) edge set of every sampled world.
-
-        Worlds are unpacked in bounded row chunks, so iteration over a
-        spilled (memmapped) sample set never materialises the full
-        boolean matrix.
-        """
-        from repro.core import kernels
-
-        if restrict_to is None:
-            candidates = list(self._edges)
-        else:
-            candidates = [edge_key(u, v) for u, v in restrict_to]
-        packed = self.packed_columns(candidates)
-        for lo in range(0, self._n_samples, self._ITER_CHUNK):
-            hi = min(lo + self._ITER_CHUNK, self._n_samples)
-            chunk = kernels.gather_rows(packed, np.arange(lo, hi))
-            for i in range(hi - lo):
-                yield {candidates[j] for j in np.flatnonzero(chunk[i])}
 
     def edge_frequency(self, u: Node, v: Node) -> float:
         """Return the fraction of sampled worlds containing edge (u, v).

@@ -507,16 +507,16 @@ class TestRecomputeFallback:
     def test_rebuilds_keep_the_pinned_bits(self, monkeypatch):
         import hashlib
 
-        from repro.core.nucleus import _CellState
+        from repro.core import nucleus
 
         rebuilds = []
-        live_factors = _CellState._live_factors
+        live_factors = nucleus.live_factors
 
-        def counting(self, i):
-            rebuilds.append(i)
-            return live_factors(self, i)
+        def counting(factors, dead):
+            rebuilds.append(len(factors))
+            return live_factors(factors, dead)
 
-        monkeypatch.setattr(_CellState, "_live_factors", counting)
+        monkeypatch.setattr(nucleus, "live_factors", counting)
         digests = {name: hashlib.sha256(repr(rows).encode()).hexdigest()
                    for name, rows in recompute_orders().items()}
         assert digests == RECOMPUTE_DIGESTS

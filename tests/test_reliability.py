@@ -172,6 +172,14 @@ def _st_connects(nodes, present, s, t):
     return False
 
 
+def _worlds(graph, samples):
+    """Reference: each sampled world's edge list, read from one row of
+    the unpacked presence matrix."""
+    edges = list(graph.edges())
+    return [[e for e, bit in zip(edges, row) if bit]
+            for row in samples.presence_matrix(edges)]
+
+
 def _differential_graphs():
     """Named graphs: an isolated node beside a likely-connected part,
     a single node, nodes without edges, mixed int/str nodes, and a
@@ -221,8 +229,8 @@ class TestKernelAgainstPerWorldReference:
         samples = WorldSampleSet.from_graph(g, 301, seed=8)
         samples.spill_to(tmp_path / "worlds.bits")
         nodes = list(g.nodes())
-        hits = sum(_world_connects(nodes, list(world))
-                   for world in samples.iter_worlds())
+        hits = sum(_world_connects(nodes, world)
+                   for world in _worlds(g, samples))
         assert network_reliability_mc(g, samples=samples) == hits / 301
 
     @pytest.mark.parametrize("name", list(_differential_graphs()))
@@ -230,8 +238,8 @@ class TestKernelAgainstPerWorldReference:
         g = _differential_graphs()[name]
         samples = WorldSampleSet.from_graph(g, 257, seed=5)
         nodes = list(g.nodes())
-        hits = sum(_world_connects(nodes, list(world))
-                   for world in samples.iter_worlds())
+        hits = sum(_world_connects(nodes, world)
+                   for world in _worlds(g, samples))
         assert network_reliability_mc(g, n_samples=257, seed=5) == hits / 257
 
     @pytest.mark.parametrize("name", list(_differential_graphs()))
@@ -239,7 +247,7 @@ class TestKernelAgainstPerWorldReference:
         g = _differential_graphs()[name]
         nodes = list(g.nodes())
         samples = WorldSampleSet.from_graph(g, 203, seed=6)
-        worlds = list(samples.iter_worlds())
+        worlds = _worlds(g, samples)
         for s in nodes:
             for t in nodes:
                 if s == t:
@@ -255,7 +263,6 @@ class TestKernelAgainstPerWorldReference:
         g = _differential_graphs()["isolated"]
         samples = WorldSampleSet.from_graph(g, 257, seed=5)
         core = [u for u in g.nodes() if u != "lonely"]
-        assert any(_world_connects(core, list(w))
-                   for w in samples.iter_worlds())
+        assert any(_world_connects(core, w) for w in _worlds(g, samples))
         assert 0.0 < network_reliability_mc(
             _differential_graphs()["random"], n_samples=257, seed=5) < 1.0

@@ -14,6 +14,7 @@ from repro import (
     support_tail,
     triangle_probabilities,
 )
+from repro.core.support_prob import live_factors
 from repro.graphs.generators import running_example
 
 
@@ -101,23 +102,11 @@ class TestSupportProbabilityObject:
         sp = SupportProbability([0.5, 0.5, 0.5])
         assert sp.max_support == 3
 
-    def test_probability_eq_out_of_range(self):
-        sp = SupportProbability([0.5])
-        assert sp.probability_eq(-1) == 0.0
-        assert sp.probability_eq(5) == 0.0
-
     def test_tail_boundaries(self):
         sp = SupportProbability([0.5, 0.5])
         assert sp.tail(0) == 1.0
         assert sp.tail(-3) == 1.0
         assert sp.tail(3) == 0.0
-
-    def test_add_then_remove_round_trip(self):
-        sp = SupportProbability([0.3, 0.7])
-        before = sp.pmf
-        sp.add_triangle(0.42)
-        sp.remove_triangle(0.42)
-        assert np.allclose(sp.pmf, before)
 
     def test_remove_triangle_matches_recompute(self):
         qs = [0.3, 0.7, 0.55, 0.9]
@@ -144,6 +133,10 @@ class TestSupportProbabilityObject:
         sp = SupportProbability([0.5])
         with pytest.raises(ParameterError):
             sp.remove_triangle(-0.1)
+        # from_factors does not range-check its factors; the removal does.
+        sp = SupportProbability.from_factors([1.5, 0.5], [0.2, 0.3, 0.5])
+        with pytest.raises(ParameterError, match=r"in \[0, 1\]"):
+            sp.remove_triangle(1.5)
 
     def test_repeated_removals_stay_accurate(self):
         # The Eq. 8 deconvolution must not accumulate damaging error even
@@ -163,39 +156,41 @@ class TestSupportProbabilityObject:
         assert np.allclose(sp.pmf, support_pmf(remaining), atol=1e-10)
 
     @staticmethod
-    def _scan_drop(qs, q):
-        """The near-match scan alone: the last factor closest to ``q``."""
-        best_idx, best_diff = -1, 1e-9
-        for i, value in enumerate(qs):
-            if abs(value - q) <= best_diff:
-                best_idx, best_diff = i, abs(value - q)
-        if best_idx < 0:
-            raise ParameterError(f"no tracked triangle has probability {q!r}")
-        del qs[best_idx]
+    def _last_copy_drop(qs, q):
+        """Delete the last factor equal to ``q``: the list the earlier
+        per-object removal left."""
+        for i in range(len(qs) - 1, -1, -1):
+            if qs[i] == q:
+                del qs[i]
+                return
+        raise ParameterError(f"no tracked triangle has probability {q!r}")
 
     def test_drop_factor_matches_the_scan(self):
-        # Repeated and near-equal factors: the exact lookup must leave
-        # the same list, in the same order, as the scan on its own.
+        # Repeated and near-equal factors: marking the last live equal
+        # slot dead must leave the live list that deleting the last
+        # equal copy leaves, in the same order; a value with no exact
+        # live match raises.
         rng = np.random.default_rng(3)
         pool = [0.25, 0.5, 0.5 + 1e-12, 0.5 - 1e-12, 0.75, 0.1]
         for _ in range(200):
             qs = [float(x) for x in rng.choice(pool, size=8)]
-            q = float(rng.choice(pool))
             sp = SupportProbability(qs)
             want = list(qs)
-            try:
-                self._scan_drop(want, q)
-            except ParameterError:
-                with pytest.raises(ParameterError):
-                    sp._drop_factor(q)
-                continue
-            sp._drop_factor(q)
-            assert sp._qs == want
+            for q in (float(x) for x in rng.choice(pool, size=4)):
+                try:
+                    self._last_copy_drop(want, q)
+                except ParameterError:
+                    with pytest.raises(ParameterError):
+                        sp.remove_triangle(q)
+                    continue
+                sp.remove_triangle(q)
+                assert live_factors(sp._qs, sp._dead) == want
 
     def test_drop_factor_removes_the_last_equal_copy(self):
         sp = SupportProbability([0.5, 0.25, 0.5, 0.75])
-        sp._drop_factor(0.5)
-        assert sp._qs == [0.5, 0.25, 0.75]
+        sp.remove_triangle(0.5)
+        assert sp._dead == bytearray([0, 0, 1, 0])
+        assert live_factors(sp._qs, sp._dead) == [0.5, 0.25, 0.75]
 
     def test_rebuild_folds_what_the_last_copy_removal_leaves(self):
         # Three equal copies of 0.3; removing one drops the last, and
@@ -204,34 +199,63 @@ class TestSupportProbabilityObject:
         # two orders give different bits, so the order is pinned.
         sp = SupportProbability([0.3, 0.2, 0.6, 0.5, 0.3, 0.2, 0.9, 0.3])
         sp.remove_triangle(0.3)
-        assert sp._qs == [0.3, 0.2, 0.6, 0.5, 0.3, 0.2, 0.9]
+        assert (live_factors(sp._qs, sp._dead)
+                == [0.3, 0.2, 0.6, 0.5, 0.3, 0.2, 0.9])
         sp.remove_triangle(0.5)
         kept = [0.3, 0.2, 0.6, 0.3, 0.2, 0.9]
-        assert sp._qs == kept
+        assert live_factors(sp._qs, sp._dead) == kept
         assert sp.pmf == support_pmf(kept)
         assert sp.pmf != support_pmf([0.2, 0.6, 0.3, 0.2, 0.9, 0.3])
 
-    def test_drop_factor_falls_back_to_a_near_match(self):
-        # Callers that recompute q (dynamic updates) may be off by
-        # float dust; the 1e-9 scan still finds their factor.
+    def test_remove_triangle_rejects_a_near_match(self):
+        # Only a bit-identical live factor is removed: a value off by
+        # float dust names no triangle.
         sp = SupportProbability([0.3, 0.7])
-        sp.remove_triangle(0.3 + 1e-12)
-        assert sp._qs == [0.7]
         with pytest.raises(ParameterError):
-            sp.remove_triangle(0.71)
+            sp.remove_triangle(0.3 + 1e-12)
+        assert sp.pmf == support_pmf([0.3, 0.7])
+        sp.remove_triangle(0.3)
+        with pytest.raises(ParameterError):
+            sp.remove_triangle(0.3)
 
-    def test_from_pmf_validates(self):
+    def test_from_factors_validates(self):
         with pytest.raises(ParameterError):
-            SupportProbability.from_pmf([0.5, 0.2])
-        sp = SupportProbability.from_pmf([0.25, 0.75])
+            SupportProbability.from_factors([0.5, 0.2], [0.5, 0.5])
+        sp = SupportProbability.from_factors([0.5], [0.5, 0.5])
         assert sp.max_support == 1
 
-    def test_copy_independent(self):
-        sp = SupportProbability([0.5, 0.5])
-        clone = sp.copy()
-        clone.remove_triangle(0.5)
-        assert sp.max_support == 2
-        assert clone.max_support == 1
+
+class TestLiveFactors:
+    @staticmethod
+    def _reference(factors, dead):
+        """Delete, once per dead slot, the last remaining copy of that
+        slot's value."""
+        live = list(factors)
+        for q, d in zip(factors, dead):
+            if d:
+                idx = len(live) - 1 - live[::-1].index(q)
+                del live[idx]
+        return live
+
+    def test_matches_last_equal_copy_deletion(self):
+        import random
+
+        rng = random.Random(31)
+        pool = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
+        for _ in range(5_000):
+            n = rng.randint(0, 10)
+            factors = [rng.choice(pool) if rng.random() < 0.7
+                       else rng.random() for _ in range(n)]
+            dead = bytearray(rng.random() < 0.4 for _ in range(n))
+            want = self._reference(factors, dead)
+            got = live_factors(factors, dead)
+            assert got == want, (factors, list(dead))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_order_ignores_which_equal_slot_died(self):
+        factors = [0.5, 0.2, 0.5, 0.5]
+        for dead in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
+            assert live_factors(factors, bytearray(dead)) == [0.5, 0.2, 0.5]
 
 
 class TestLevel:
@@ -265,13 +289,18 @@ class TestLevel:
             sp.level(gamma=1.5, edge_probability=0.5)
 
 
-class _EarlierBodies(SupportProbability):
-    """``level`` and ``remove_triangle`` exactly as they read before
-    the lean rewrite (min() per tail step, per-value clamp floor, index
-    loops for the shift branches, the numpy DP for a rebuild): the
-    differential reference the current bodies must match bit for bit."""
+class _EarlierBodies:
+    """One edge's PMF with ``level`` and ``remove_triangle`` exactly as
+    they read before the lean rewrite (min() per tail step, per-value
+    clamp floor, index loops for the shift branches, the numpy DP for a
+    rebuild), over a tracked factor list from which each removal deletes
+    the last equal copy: the differential reference the current bodies
+    must match bit for bit."""
 
-    __slots__ = ()
+    def __init__(self, qs, pmf):
+        self._qs = list(qs)
+        self._pmf = list(pmf)
+        self._err = 1e-16
 
     def level(self, gamma, edge_probability):
         if not 0.0 <= gamma <= 1.0:
@@ -292,17 +321,21 @@ class _EarlierBodies(SupportProbability):
         if not 0.0 <= q <= 1.0:
             raise ParameterError(
                 f"triangle probability must be in [0, 1], got {q}")
-        if self.max_support == 0:
+        if len(self._pmf) == 1:
             raise ParameterError("no triangles left to remove")
-        if self._qs is not None:
-            self._drop_factor(q)
-            spread = abs(1.0 - 2.0 * q)
-            amplification = 1.0 / spread if spread > 1e-6 else 1e6
-            self._err = self._err * amplification + 1e-15
-            if self._err > 1e-10:
-                self._pmf = support_pmfs([list(self._qs)])[0]
-                self._err = 1e-16
-                return
+        for idx in range(len(self._qs) - 1, -1, -1):
+            if self._qs[idx] == q:
+                break
+        else:
+            raise ParameterError(f"no tracked triangle has probability {q!r}")
+        del self._qs[idx]
+        spread = abs(1.0 - 2.0 * q)
+        amplification = 1.0 / spread if spread > 1e-6 else 1e6
+        self._err = self._err * amplification + 1e-15
+        if self._err > 1e-10:
+            self._pmf = support_pmfs([list(self._qs)])[0]
+            self._err = 1e-16
+            return
         old = self._pmf
         n = len(old) - 1
         new = [0.0] * n
@@ -337,7 +370,7 @@ class _EarlierBodies(SupportProbability):
 
 
 def _bits(values):
-    return None if values is None else [float(x).hex() for x in values]
+    return [float(x).hex() for x in values]
 
 
 class TestLeanBodiesMatchEarlierBodies:
@@ -361,27 +394,23 @@ class TestLeanBodiesMatchEarlierBodies:
         for case in range(20_000):
             qs = [self._factor(rng) for _ in range(rng.randint(1, 9))]
             lean = SupportProbability(qs)
-            if case % 5 == 0:
-                # Untracked factors: no rebuild safety net.
-                lean = SupportProbability.from_pmf(lean.pmf)
-                earlier = _EarlierBodies.from_pmf(lean.pmf)
-            else:
-                earlier = _EarlierBodies.from_factors(qs, lean.pmf)
+            earlier = _EarlierBodies(qs, lean.pmf)
             order = list(qs)
             rng.shuffle(order)
             for q in order[:rng.randint(1, len(order))]:
                 lean.remove_triangle(q)
                 earlier.remove_triangle(q)
                 assert _bits(lean._pmf) == _bits(earlier._pmf), (qs, q)
-                assert _bits(lean._qs) == _bits(earlier._qs), (qs, q)
+                assert (_bits(live_factors(lean._qs, lean._dead))
+                        == _bits(earlier._qs)), (qs, q)
                 assert lean._err == earlier._err, (qs, q)
                 for gamma, prob in self.LEVEL_ARGS:
                     assert (lean.level(gamma, prob)
                             == earlier.level(gamma, prob)), (qs, gamma, prob)
 
     def test_removing_from_an_empty_pmf_raises_alike(self):
-        for cls in (SupportProbability, _EarlierBodies):
-            sp = cls.from_factors([0.5], [0.5, 0.5])
+        for sp in (SupportProbability.from_factors([0.5], [0.5, 0.5]),
+                   _EarlierBodies([0.5], [0.5, 0.5])):
             sp.remove_triangle(0.5)
             with pytest.raises(ParameterError, match="no triangles left"):
                 sp.remove_triangle(0.5)
