@@ -6,8 +6,8 @@ sub-procedures:
 * **GTD** — :func:`top_down_search` (Algorithm 4): exact search that
   removes one edge at a time and continues in the k-truss-pruned
   connected components, one round-synchronous peel round at a time. We
-  memoise visited edge sets — without this the search revisits the same
-  residual graphs exponentially often.
+  memoise visited edge sets, each an edge-id bitmask — without this the
+  search revisits the same residual graphs exponentially often.
 * **GBU** — :func:`bottom_up_search` (Algorithm 5): the heuristic that
   grows a candidate from a single high-probability seed edge, adding
   k - 2 supporting triangles per deficient edge, then extends satisfying
@@ -140,6 +140,11 @@ def _canonical_edge_list(component: ProbabilisticGraph) -> list[Edge]:
     )
 
 
+def _mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: a GTD state's edge ids."""
+    return [j for j, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 def top_down_search(
     executor,
     k: int,
@@ -155,10 +160,12 @@ def top_down_search(
     """Algorithm 4: exact search for all satisfying trusses in ``component``.
 
     Explores the state closure of ``component`` — the residual
-    edge-subsets reachable by repeated single-edge deletion, structural
-    k-truss pruning and splitting into connected components, where only
-    *non-satisfying* states expand; every satisfying state is an answer
-    (maximal by construction). The search is round-synchronous: each
+    edge-subsets, each one int bitmask over :func:`_canonical_edge_list`
+    (bit ``j`` set: edge ``j`` present), reachable by repeated
+    single-edge deletion, structural k-truss pruning and splitting into
+    connected components, where only *non-satisfying* states expand;
+    every satisfying state is an answer (maximal by construction). The
+    search is round-synchronous: each
     peel round evaluates the whole outstanding frontier, dispatched
     through ``executor`` as canonical contiguous shards (``gtd-frontier``
     task, which tests each candidate against the executor's oracle),
@@ -178,36 +185,32 @@ def top_down_search(
     :class:`~repro.runtime.progress.ProgressEvent`) sees a
     ``"gtd-state"`` event per evaluated candidate, and after each merged
     round a ``"gtd-frontier"`` event carrying the complete mid-peel
-    state: the level's answers so far (``level_found`` from earlier
-    components plus this component's), the next frontier and the
-    visited set. The harness checkpoints it, so kill/resume lands on a
-    round boundary; ``resume_state`` restores exactly that snapshot, and
-    ``comp_index`` names the component in it. A hook may abort the
-    search by raising.
+    state: the level's answers so far as edge lists (``level_found``
+    from earlier components plus this component's), the next frontier
+    and the sorted visited masks. The harness checkpoints it, so
+    kill/resume lands on a round boundary; ``resume_state`` restores
+    exactly that snapshot, and ``comp_index`` names the component in it.
+    A hook may abort the search by raising.
 
     Returns None when a frontier shard was quarantined (the payload
     kept killing workers): the caller degrades this component to the
     GBU heuristic.
     """
-    comp_edges = tuple(component.edges())
-    executor.cache_component(comp_edges, component)
-    answers: dict[frozenset[Edge], ProbabilisticGraph] = {}
-    if resume_state is not None:
-        visited = {frozenset(edges) for edges in resume_state["visited"]}
-        frontier = [list(edges) for edges in resume_state["frontier"]]
-        round_no = int(resume_state["round"])
-    else:
-        first = _canonical_edge_list(component)
-        visited = {frozenset(first)}
-        frontier = [first]
-        round_no = 0
+    edges = tuple(_canonical_edge_list(component))
+    executor.cache_component(edges, component)
+    answers: dict[int, ProbabilisticGraph] = {}
+    # A fresh search is the round-0 snapshot holding only the full state.
+    root = (1 << len(edges)) - 1
+    start = resume_state or {"round": 0, "frontier": [root], "visited": [root]}
+    frontier, visited = list(start["frontier"]), set(start["visited"])
+    round_no = int(start["round"])
     if max_states is not None and len(visited) > max_states:
         raise DecompositionError(
             f"top-down search exceeded {max_states} explored states at k={k}"
         )
     while frontier:
         payloads = [
-            (comp_edges, shard, k, gamma)
+            (edges, shard, k, gamma)
             for shard in _frontier_shards(frontier, executor.pool_workers)
         ]
         mark = len(executor.quarantined)
@@ -221,24 +224,23 @@ def top_down_search(
             for rec in executor.quarantined[mark:]:
                 rec.fallback = "gbu"
             return None
-        next_frontier: list[list[Edge]] = []
+        next_frontier: list[int] = []
         for res in results:  # shard-index order
             for kind, data in res:  # within-shard candidate order
                 if kind == "sat":
-                    t = component.edge_subgraph([tuple(e) for e in data])
-                    answers.setdefault(frozenset(t.edges()), t)
+                    answers[data] = component.edge_subgraph(
+                        [edges[j] for j in _mask_bits(data)])
                     continue
                 for succ in data:  # canonical generation order
-                    key = frozenset(tuple(e) for e in succ)
-                    if key in visited:
+                    if succ in visited:
                         continue
-                    visited.add(key)
+                    visited.add(succ)
                     if max_states is not None and len(visited) > max_states:
                         raise DecompositionError(
                             f"top-down search exceeded {max_states} "
                             f"explored states at k={k}"
                         )
-                    next_frontier.append([tuple(e) for e in succ])
+                    next_frontier.append(succ)
         frontier = next_frontier
         if progress is not None:
             from repro.runtime.progress import ProgressEvent
@@ -257,14 +259,10 @@ def top_down_search(
                     "k": k, "comp_index": comp_index,
                     "round": round_no + 1,
                     "found": found_lists,
-                    "frontier": [list(c) for c in frontier],
-                    # Outer sort keeps the snapshot canonical: `visited`
-                    # is a set, whose iteration order must never leak
-                    # into checkpoint bytes.
-                    "visited": sorted(
-                        (sorted(s, key=_edge_sort_key) for s in visited),
-                        key=lambda st: [_edge_sort_key(e) for e in st],
-                    ),
+                    "frontier": frontier,
+                    # Sorted: `visited` is a set, whose iteration order
+                    # must never leak into checkpoint bytes.
+                    "visited": sorted(visited),
                     "states": len(visited),
                 },
             ))

@@ -349,6 +349,9 @@ class SupportProbability:
             )
         obj = cls()
         obj._qs = [float(q) for q in qs]
+        for q in obj._qs:
+            if not 0.0 <= q <= 1.0:
+                raise ParameterError(f"triangle probability must be in [0, 1], got {q}")
         obj._dead = bytearray(len(qs))
         obj._pmf = [float(x) for x in pmf]
         return obj

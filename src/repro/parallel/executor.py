@@ -322,11 +322,10 @@ class ParallelExecutor:
             self._inline_state.oracle = oracle
 
     def cache_component(self, edges, graph) -> None:
-        """Let inline mode reuse an already-materialised component."""
+        """Let inline mode reuse an already-materialised component
+        (``edges``, a tuple of edge tuples, is the cache key)."""
         if self._inline_state is not None:
-            self._inline_state.seed_component(
-                tuple(map(tuple, edges)), graph
-            )
+            self._inline_state.seed_component(edges, graph)
 
     # -- dispatch -------------------------------------------------------
     def map(self, name: str, payloads, progress=None, *,

@@ -18,8 +18,8 @@ or in which order tasks complete:
   payload — never from shared stream state;
 * graphs rebuilt inside workers insert edges in the exact order the
   parent used (``edge_subgraph`` canonicalises construction order);
-* anything order-sensitive (successor clusters, GBU edge lists) is
-  sorted by a canonical edge key before use.
+* anything order-sensitive (successor clusters, GBU edge lists, the
+  edge ids of GTD's bitmask states) is sorted by a canonical edge key.
 
 The same task functions run *inline* in the parent process when
 ``workers=1`` — that is the reference the equivalence tests compare
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
+from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.core.global_truss import GlobalTrussOracle
 from repro.core.kernels import deletion_clusters
 from repro.core.reliability import count_connected_rows
@@ -122,16 +122,14 @@ class WorkerState:
         cached = self._components.get(edges)
         if cached is None:
             cached = self.graph.edge_subgraph(list(edges))
-            if len(self._components) >= 8:
-                # Levels revisit one component for many seeds; a handful
-                # of slots is plenty and bounds worker memory.
-                self._components.pop(next(iter(self._components)))
-            self._components[edges] = cached
+            self.seed_component(edges, cached)
         return cached
 
     def seed_component(self, edges: tuple, graph: ProbabilisticGraph) -> None:
         """Pre-populate the cache (inline mode reuses the parent's piece)."""
         if len(self._components) >= 8:
+            # Levels revisit one component for many seeds; a handful of
+            # slots is plenty and bounds worker memory.
             self._components.pop(next(iter(self._components)))
         self._components[edges] = graph
 
@@ -150,7 +148,7 @@ def _gbu_seed(state: WorkerState, payload):
     independent of scheduling.
     """
     from repro.core.global_decomp import (
-        _edge_sort_key,
+        _canonical_edge_list,
         _extend_to_maximal,
         _grow_candidate,
     )
@@ -163,61 +161,60 @@ def _gbu_seed(state: WorkerState, payload):
         return None
     if not state.oracle.satisfies(grown, k, gamma):
         return None
-    extended = _extend_to_maximal(state.oracle, component, grown, k, gamma)
-    return sorted(
-        (edge_key(u, v) for u, v in extended.edges()), key=_edge_sort_key
-    )
+    return _canonical_edge_list(
+        _extend_to_maximal(state.oracle, component, grown, k, gamma))
 
 
 def _gtd_frontier(state: WorkerState, payload):
     """Evaluate one shard of a GTD peel round's frontier (Algorithm 4).
 
-    Payload: ``(component_edges, shard, k, gamma)`` where ``shard`` is a
-    list of candidate edge lists, each canonically sorted. For every
+    Payload: ``(edges, shard, k, gamma)``: ``edges`` is the component's
+    canonically sorted edge tuple, and ``shard`` a list of candidate
+    states, int bitmasks whose set bits index ``edges``. For every
     candidate the (k, gamma)-truss test runs against the shared sample
-    set; a satisfying candidate yields ``("sat", edges)`` and a failing
-    one ``("exp", successors)``.
+    set; a satisfying candidate yields ``("sat", mask)`` and a failing
+    one ``("exp", successor masks)``.
 
     The successors of all failing candidates come from one batched pass
     (:func:`~repro.core.kernels.deletion_clusters`). A candidate's edges
     become canonically sorted columns, its row ``i`` deletes the
     ``i``-th edge of ``candidate.edges()``, and every row is pruned to
     its maximal structural k-truss and split into connected components.
-    Each successor is a canonically sorted edge list, in deletion order
-    and then by first edge: the lists and order that pruning and
-    splitting each deletion on its own gives, since the maximal k-truss
-    of an edge set is unique. A successor already emitted earlier in
-    the shard is left out: the parent's merge would drop it as visited
-    anyway. The result is a pure function of the payload: the parent's
-    merge (shard-index order, then within-shard candidate order) is
-    therefore identical for every shard boundary and worker count.
+    Successors come in deletion order and then by first edge: the states
+    and order that pruning and splitting each deletion on its own gives,
+    since the maximal k-truss of an edge set is unique. A successor
+    already emitted earlier in the shard is left out: the parent's merge
+    would drop it as visited anyway. The result is a pure function of
+    the payload: the parent's merge (shard-index order, then
+    within-shard candidate order) is therefore identical for every shard
+    boundary and worker count.
     """
-    from repro.core.global_decomp import _edge_sort_key
+    from repro.core.global_decomp import _mask_bits
     from repro.runtime.progress import ProgressEvent
 
-    comp_edges, shard, k, gamma = payload
-    component = state.component(tuple(map(tuple, comp_edges)))
-    out = []
-    failing, pending = [], []
-    for index, cand_edges in enumerate(shard):
-        candidate = component.edge_subgraph([tuple(e) for e in cand_edges])
+    edges, shard, k, gamma = payload
+    component = state.component(edges)
+    bit_of = {e: 1 << j for j, e in enumerate(edges)}
+    out, failing, pending = [], [], []
+    for index, mask in enumerate(shard):
+        columns = [edges[j] for j in _mask_bits(mask)]
+        candidate = component.edge_subgraph(columns)
         state.hook(ProgressEvent("gtd-state", step=index, detail={"k": k}))
         if state.oracle.satisfies(candidate, k, gamma):
-            out.append(("sat", [tuple(e) for e in cand_edges]))
+            out.append(("sat", mask))
             continue
-        columns = sorted(candidate.edges(), key=_edge_sort_key)
         column_of = {e: j for j, e in enumerate(columns)}
         failing.append((columns, list(candidate.nodes()),
                         [column_of[e] for e in candidate.edges()]))
         pending.append([])
         out.append(("exp", pending[-1]))
-    emitted: set[frozenset] = set()
+    emitted: set[int] = set()
     for successors, clusters in zip(pending, deletion_clusters(failing, k)):
         for cluster in clusters:
-            cluster_key = frozenset(cluster)
-            if cluster_key not in emitted:
-                emitted.add(cluster_key)
-                successors.append(cluster)
+            succ = sum(map(bit_of.__getitem__, cluster))
+            if succ not in emitted:
+                emitted.add(succ)
+                successors.append(succ)
     return out
 
 

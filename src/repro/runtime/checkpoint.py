@@ -5,6 +5,7 @@ A checkpoint is a directory::
     <dir>/manifest.json      format tag, version, parameters, RNG states
     <dir>/samples_0000.npz   one bit-packed batch of possible worlds
     <dir>/level_0003.json    maximal trusses found at k = 3
+    <dir>/frontier.json      mid-peel GTD snapshot (states as bitmasks)
 
 Every file is written atomically (temp file + rename) and carries a
 CRC-32 of its payload, so a crash mid-write leaves the previous
@@ -40,6 +41,9 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: The ``frontier.json`` fields stored as they come; ``found`` is encoded.
+_FRONTIER_KEYS = ("k", "comp_index", "round", "frontier", "visited")
 
 
 def encode_node(node):
@@ -130,8 +134,13 @@ class CheckpointStore:
 
     def _save_sealed(self, path: Path, key: str, body: dict) -> None:
         """Write ``{"crc": CRC-32 of body, key: body}`` atomically."""
-        wrapper = {"crc": zlib.crc32(_canonical_json(body).encode("utf-8")),
-                   key: body}
+        try:
+            text = _canonical_json(body)
+        except ValueError as err:  # an int past the int-to-str limit
+            raise CheckpointWriteError(
+                f"checkpoint write to {path} failed: {err}", path=path
+            ) from err
+        wrapper = {"crc": zlib.crc32(text.encode("utf-8")), key: body}
         self._write_atomic(
             path, json.dumps(wrapper, sort_keys=True).encode("utf-8")
         )
@@ -298,64 +307,55 @@ class CheckpointStore:
         return self.path / "frontier.json"
 
     def save_frontier(self, detail) -> None:
-        """Persist the mid-peel GTD state of one sharded round boundary.
+        """Persist the mid-peel GTD state of one round boundary.
 
         ``detail`` is a ``"gtd-frontier"`` progress event's payload: the
-        level ``k``, the component index, the next round number, and —
-        as edge lists — the level's answers so far (``found``), the
-        outstanding ``frontier``, and the ``visited`` state set. Written
-        atomically with a CRC like every other checkpoint file, so a
-        kill mid-write leaves the previous round's snapshot behind and
-        resume always lands on a complete round boundary.
+        level ``k``, the component index, the next round number, the
+        level's answers so far (``found``, edge lists), and the
+        ``frontier`` and sorted ``visited`` states, bitmasks stored as
+        plain JSON ints. Written atomically with a CRC like every other
+        checkpoint file, so a kill mid-write leaves the previous round's
+        snapshot behind and resume always lands on a round boundary.
         """
-        def encode_edges(edges):
-            return [[encode_node(u), encode_node(v)] for u, v in edges]
-
-        payload = {
-            "k": int(detail["k"]),
-            "comp_index": int(detail["comp_index"]),
-            "round": int(detail["round"]),
-            "found": [encode_edges(t) for t in detail["found"]],
-            "frontier": [encode_edges(c) for c in detail["frontier"]],
-            "visited": [encode_edges(s) for s in detail["visited"]],
-        }
+        payload = {key: detail[key] for key in _FRONTIER_KEYS}
+        payload["found"] = [[[encode_node(u), encode_node(v)] for u, v in t]
+                            for t in detail["found"]]
         self._save_sealed(self.frontier_path, "payload", payload)
 
     def load_frontier(self):
         """Load the mid-peel snapshot, or None when none was saved.
 
-        Returns the decoded ``{"k", "comp_index", "round", "found",
-        "frontier", "visited"}`` dict with node labels restored —
-        exactly the ``frontier_state`` shape
+        Returns the ``{"k", "comp_index", "round", "found", "frontier",
+        "visited"}`` dict with node labels restored — exactly the
+        ``frontier_state`` shape
         :func:`~repro.core.global_decomp.global_truss_decomposition`
-        accepts. Corruption raises :class:`CheckpointError`.
+        accepts. Corruption raises :class:`CheckpointError`, and so does
+        a snapshot from before the bitmask format (states as edge lists).
         """
         path = self.frontier_path
         if not path.exists():
             return None
         payload = self._load_sealed(path, "payload", "frontier file")
-
-        def decode_edges(edges):
-            return [(decode_node(u), decode_node(v)) for u, v in edges]
-
         try:
-            return {
-                "k": int(payload["k"]),
-                "comp_index": int(payload["comp_index"]),
-                "round": int(payload["round"]),
-                "found": [decode_edges(t) for t in payload["found"]],
-                "frontier": [decode_edges(c) for c in payload["frontier"]],
-                "visited": [decode_edges(s) for s in payload["visited"]],
-            }
+            snapshot = {key: payload[key] for key in _FRONTIER_KEYS}
+            snapshot["found"] = [[(decode_node(u), decode_node(v)) for u, v in t]
+                                 for t in payload["found"]]
+            states = [*snapshot["frontier"], *snapshot["visited"]]
         except (KeyError, TypeError, ValueError) as err:
             raise CheckpointError(
                 f"corrupt checkpoint frontier file {path}: {err}"
             ) from err
+        if not all(type(state) is int for state in states):
+            raise CheckpointError(
+                f"checkpoint frontier file {path} predates the bitmask "
+                "format (its GTD states are edge lists) and cannot be "
+                "resumed; delete it to re-run that level"
+            )
+        return snapshot
 
     def clear_frontier(self) -> None:
         """Delete the mid-peel snapshot (a finished level supersedes it)."""
-        if self.frontier_path.exists():
-            self.frontier_path.unlink()
+        self.frontier_path.unlink(missing_ok=True)
 
     # -- garbage collection --------------------------------------------
     def collect_garbage(self, batches_drawn: int | None = None) -> list:

@@ -23,7 +23,7 @@ Emitted phases
                     (``step`` = round index); ``detail``
                     carries the complete mid-peel snapshot — level
                     ``k``, component index, next round, answers found,
-                    outstanding frontier and visited states — which the
+                    outstanding and visited bitmask states — which the
                     harness checkpoints so kill/resume lands on a round
                     boundary
 ``gbu-seed``        Algorithm 5 is processing seed ``step`` of ``total``

@@ -21,6 +21,13 @@ order anywhere in the pipeline.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,19 +35,25 @@ from hypothesis import strategies as st
 from repro.core.global_decomp import (
     _canonical_edge_list,
     _frontier_shards,
+    _mask_bits,
     global_truss_decomposition,
 )
-from repro.exceptions import CheckpointError, ComputationInterrupted
+from repro.exceptions import (
+    CheckpointError,
+    CheckpointWriteError,
+    ComputationInterrupted,
+)
 from repro.graphs.components import edge_connected_components
 from repro.graphs.generators import (
     planted_truss_graph,
     powerlaw_cluster_graph,
     windmill_graph,
 )
+from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.graphs.sampling import WorldSampleSet
 from repro.parallel import ParallelExecutor
 from repro.runtime import FaultPlan, run_global, serialize_global_result
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, encode_node
 from repro.truss.decomposition import k_truss_edges
 
 N_SAMPLES = 64
@@ -117,15 +130,13 @@ class TestFrontierSharding:
         # gamma = 1 fails every candidate, so the whole shard expands.
         graph, _ = _planted()
         samples = WorldSampleSet.from_graph(graph, N_SAMPLES, seed=9)
-        comp_edges = tuple(graph.edges())
-        root = _canonical_edge_list(graph)
-        shard = [root] + [
-            [e for e in root if e != dropped] for dropped in root[:6]
-        ]
+        edges = tuple(_canonical_edge_list(graph))
+        root = (1 << len(edges)) - 1
+        shard = [root] + [root & ~(1 << j) for j in range(6)]
         with ParallelExecutor(1, graph=graph, samples=samples) as executor:
             [result] = executor.map("gtd-frontier",
-                                    [(comp_edges, shard, 3, 1.0)])
-        emitted = [frozenset(map(tuple, succ))
+                                    [(edges, shard, 3, 1.0)])
+        emitted = [frozenset(edges[j] for j in _mask_bits(succ))
                    for kind, data in result for succ in data]
         assert [kind for kind, _ in result] == ["exp"] * len(shard)
         assert len(emitted) == len(set(emitted))
@@ -133,7 +144,8 @@ class TestFrontierSharding:
         # single-edge-deletion closure of the shard.
         closure = set()
         generated = 0
-        for cand in shard:
+        for mask in shard:
+            cand = [edges[j] for j in _mask_bits(mask)]
             for dropped in cand:
                 pruned = k_truss_edges(
                     graph, set(cand) - {dropped}, 3)
@@ -148,6 +160,20 @@ class TestFrontierSharding:
         edges = _canonical_edge_list(graph)
         assert edges == sorted(edges, key=lambda e: (str(e[0]), str(e[1])))
 
+    @given(st.integers(min_value=0, max_value=2**200))
+    @settings(max_examples=200, deadline=None)
+    def test_mask_bits_are_the_set_bits_ascending(self, mask):
+        bits = _mask_bits(mask)
+        assert bits == sorted(set(bits))
+        assert sum(1 << j for j in bits) == mask
+
+    def test_mask_decodes_to_the_sorted_edge_list(self):
+        # Set bits ascending give the canonically sorted candidate list.
+        graph, _ = _planted()
+        edges = _canonical_edge_list(graph)
+        mask = sum(1 << j for j in range(0, len(edges), 3))
+        assert [edges[j] for j in _mask_bits(mask)] == edges[::3]
+
 
 class TestFrontierCheckpoint:
     """Round-trip and corruption behaviour of the mid-peel snapshot."""
@@ -155,8 +181,9 @@ class TestFrontierCheckpoint:
     DETAIL = {
         "k": 3, "comp_index": 1, "round": 2,
         "found": [[(0, 1), (1, 2), (0, 2)]],
-        "frontier": [[(0, 1), (0, 3), (1, 3)], [(2, 3), (2, 4), (3, 4)]],
-        "visited": [[(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 3), (1, 3)]],
+        # Masks past 64 bits round-trip too: JSON ints are unbounded.
+        "frontier": [0b1011, (1 << 70) | 0b110],
+        "visited": [0b111, 0b1011, (1 << 70) | 0b110],
     }
 
     def test_round_trip(self, tmp_path):
@@ -188,6 +215,22 @@ class TestFrontierCheckpoint:
         )
         with pytest.raises(CheckpointError):
             store.load_frontier()
+
+    def test_unspellable_mask_fails_like_a_full_disk(self, tmp_path):
+        # Past the int-to-str digit limit JSON cannot write the mask; the
+        # harness turns this error into "checkpointing disabled".
+        store = CheckpointStore(tmp_path)
+        huge = dict(self.DETAIL, frontier=[1 << 50_000])
+        with pytest.raises(CheckpointWriteError):
+            store.save_frontier(huge)
+        assert store.load_frontier() is None
+
+    def test_states_are_stored_as_plain_ints(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save_frontier(self.DETAIL)
+        body = json.loads(store.frontier_path.read_text())["payload"]
+        assert body["frontier"] == self.DETAIL["frontier"]
+        assert body["visited"] == self.DETAIL["visited"]
 
 
 @pytest.mark.crash
@@ -226,22 +269,27 @@ class TestFrontierFaults:
 
     @pytest.mark.parametrize("resume_workers", [None, 2, 4])
     @pytest.mark.parametrize("killed_workers", [None, 2])
-    def test_kill_resume_lands_on_round_boundary(self, tmp_path,
+    @pytest.mark.parametrize("step", [0, 1, 2])
+    def test_kill_resume_lands_on_round_boundary(self, tmp_path, step,
                                                  killed_workers,
                                                  resume_workers):
-        graph, gamma = _planted()
+        # The windmill's k = 2 peel runs nine rounds (the planted
+        # family's levels finish in one), so every step interrupts a
+        # search with a frontier and a visited set of many states.
+        graph, gamma = _windmill()
         baseline = serialize_global_result(
             self.full_run(graph, gamma, workers=2).result
         )
         ck = tmp_path / "ck"
-        plan = FaultPlan().sigint_at("gtd-frontier", 0)
+        plan = FaultPlan().sigint_at("gtd-frontier", step)
         with pytest.raises(ComputationInterrupted):
             self.full_run(graph, gamma, workers=killed_workers,
                           checkpoint_dir=ck, faults=plan)
-        assert plan.fired == [("gtd-frontier", 0)]
+        assert plan.fired == [("gtd-frontier", step)]
         # The interrupt landed after the round's snapshot was written.
         snapshot = CheckpointStore(ck).load_frontier()
-        assert snapshot is not None and snapshot["round"] >= 1
+        assert snapshot is not None and snapshot["round"] == step + 1
+        assert snapshot["frontier"] and len(snapshot["visited"]) > 1
         resumed = self.full_run(graph, gamma, workers=resume_workers,
                                 checkpoint_dir=ck, resume=True)
         assert resumed.complete
@@ -253,3 +301,102 @@ class TestFrontierFaults:
         partial = self.full_run(graph, gamma, workers=2, checkpoint_dir=ck)
         assert partial.complete
         assert CheckpointStore(ck).load_frontier() is None
+
+
+def _string_windmill():
+    graph, gamma = _windmill()
+    relabelled = ProbabilisticGraph()
+    for u, v, p in graph.edges_with_probabilities():
+        relabelled.add_edge(f"n{u}", f"n{v}", p)
+    return relabelled, gamma
+
+
+class TestFrontierResume:
+    """Resuming a mid-peel snapshot: the bitmask format, the edge-list
+    format before it, and a resume in a process with another hash seed."""
+
+    def run(self, graph, gamma, **kwargs):
+        return run_global(
+            graph, gamma, method="gtd", seed=9, n_samples=N_SAMPLES,
+            batch_size=BATCH, max_states=MAX_STATES, **kwargs,
+        )
+
+    def interrupted(self, ck, step=1):
+        """Kill the windmill at ``step`` and rewrite its snapshot with
+        edge-list states, as the format before bitmasks stored them."""
+        graph, gamma = _windmill()
+        with pytest.raises(ComputationInterrupted):
+            self.run(graph, gamma, checkpoint_dir=ck,
+                     faults=FaultPlan().sigint_at("gtd-frontier", step))
+        store = CheckpointStore(ck)
+        body = json.loads(store.frontier_path.read_text())["payload"]
+        # At k = 2 the windmill's one component holds every edge.
+        edges = _canonical_edge_list(graph)
+        for name in ("frontier", "visited"):
+            body[name] = [
+                [[encode_node(u), encode_node(v)]
+                 for u, v in (edges[j] for j in _mask_bits(mask))]
+                for mask in body[name]
+            ]
+        store._save_sealed(store.frontier_path, "payload", body)
+        return graph, gamma
+
+    def test_edge_list_snapshot_is_refused(self, tmp_path):
+        graph, gamma = self.interrupted(tmp_path / "ck")
+        with pytest.raises(CheckpointError,
+                           match="predates the bitmask format"):
+            self.run(graph, gamma, checkpoint_dir=tmp_path / "ck",
+                     resume=True)
+
+    def test_restart_drops_edge_list_snapshot_and_reruns_level(self,
+                                                               tmp_path):
+        graph, gamma = self.interrupted(tmp_path / "ck")
+        baseline = serialize_global_result(self.run(graph, gamma).result)
+        resumed = self.run(graph, gamma, checkpoint_dir=tmp_path / "ck",
+                           resume=True, on_corrupt="restart")
+        assert resumed.complete
+        assert serialize_global_result(resumed.result) == baseline
+
+    def test_resume_in_another_hash_seed_is_byte_identical(self, tmp_path):
+        """Kill a string-node run under PYTHONHASHSEED=0 two rounds into
+        its peel and resume it under PYTHONHASHSEED=1."""
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        ck = tmp_path / "ck"
+        script = (
+            "import hashlib, sys\n"
+            "from repro.exceptions import ComputationInterrupted\n"
+            "from repro.runtime import FaultPlan, run_global, "
+            "serialize_global_result\n"
+            "from tests.test_gtd_frontier import _string_windmill\n"
+            "graph, gamma = _string_windmill()\n"
+            "kw = dict(method='gtd', seed=9, n_samples=%d, batch_size=%d,\n"
+            "          max_states=%d, checkpoint_dir=sys.argv[2])\n"
+            "if sys.argv[1] == 'kill':\n"
+            "    try:\n"
+            "        run_global(graph, gamma, "
+            "faults=FaultPlan().sigint_at('gtd-frontier', 2), **kw)\n"
+            "    except ComputationInterrupted:\n"
+            "        print('interrupted')\n"
+            "else:\n"
+            "    p = run_global(graph, gamma, resume=True, **kw)\n"
+            "    print(hashlib.sha256(serialize_global_result(p.result))"
+            ".hexdigest())\n"
+        ) % (N_SAMPLES, BATCH, MAX_STATES)
+
+        def child(mode, hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(repo_root / "src"))
+            return subprocess.run(
+                [sys.executable, "-c", script, mode, str(ck)],
+                capture_output=True, text=True, check=True, env=env,
+                cwd=repo_root,
+            ).stdout.strip()
+
+        assert child("kill", "0") == "interrupted"
+        snapshot = CheckpointStore(ck).load_frontier()
+        assert snapshot["round"] == 3 and len(snapshot["visited"]) > 1
+        graph, gamma = _string_windmill()
+        baseline = hashlib.sha256(
+            serialize_global_result(self.run(graph, gamma).result)
+        ).hexdigest()
+        assert child("resume", "1") == baseline

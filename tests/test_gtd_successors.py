@@ -16,7 +16,7 @@ same successor lists, content and order:
 * many candidates in one call, cut into blocks of every size down to
   one row;
 * the whole ``gtd-frontier`` task against the per-deletion loop,
-  shard-wide repeats dropped.
+  shard-wide repeats dropped, its bitmask states decoded.
 
 The peak-allocation test at the bottom holds one batched expansion of
 a 435-edge clique under a stated budget; without row blocks the same
@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.global_decomp import _edge_sort_key as _sort_key
+from repro.core.global_decomp import _edge_sort_key as _sort_key, _mask_bits
 from repro.graphs.components import edge_connected_components
 from repro.graphs.generators import complete_graph, planted_truss_graph
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
@@ -197,11 +197,16 @@ class TestFrontierTask:
         root = sorted(graph.edges(), key=_sort_key)
         shard = [root] + [[e for e in root if e != dropped]
                           for dropped in root[:8]]
+        # The task takes and returns states as masks over `root`.
+        full = (1 << len(root)) - 1
+        masks = [full] + [full & ~(1 << j) for j in range(8)]
         # gamma = 1 fails every candidate, so the whole shard expands.
         with ParallelExecutor(1, graph=graph, samples=samples) as executor:
             [result] = executor.map(
-                "gtd-frontier", [(tuple(graph.edges()), shard, k, 1.0)])
-        assert result == self._per_deletion_task(graph, shard, k)
+                "gtd-frontier", [(tuple(root), masks, k, 1.0)])
+        decoded = [(kind, [[root[j] for j in _mask_bits(succ)]
+                           for succ in data]) for kind, data in result]
+        assert decoded == self._per_deletion_task(graph, shard, k)
 
 
 class TestBatchedExpansionPeakAllocation:

@@ -133,8 +133,6 @@ class TestSupportProbabilityObject:
         sp = SupportProbability([0.5])
         with pytest.raises(ParameterError):
             sp.remove_triangle(-0.1)
-        # from_factors does not range-check its factors; the removal does.
-        sp = SupportProbability.from_factors([1.5, 0.5], [0.2, 0.3, 0.5])
         with pytest.raises(ParameterError, match=r"in \[0, 1\]"):
             sp.remove_triangle(1.5)
 
@@ -221,8 +219,13 @@ class TestSupportProbabilityObject:
     def test_from_factors_validates(self):
         with pytest.raises(ParameterError):
             SupportProbability.from_factors([0.5, 0.2], [0.5, 0.5])
+        # A factor outside [0, 1] is refused as remove_triangle refuses it.
+        for bad in (1.5, -0.25, float("nan")):
+            with pytest.raises(ParameterError, match=r"must be in \[0, 1\]"):
+                SupportProbability.from_factors([bad, 0.5], [0.2, 0.3, 0.5])
         sp = SupportProbability.from_factors([0.5], [0.5, 0.5])
         assert sp.max_support == 1
+        assert "from_factors" in SupportProbability.__dict__
 
 
 class TestLiveFactors:
