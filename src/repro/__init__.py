@@ -41,8 +41,6 @@ from repro.graphs import (
     largest_connected_component,
     read_edge_list,
     read_json_graph,
-    sample_possible_world,
-    sample_possible_worlds,
     write_edge_list,
     write_json_graph,
 )
@@ -110,8 +108,8 @@ __all__ = [
     # graphs
     "ProbabilisticGraph", "edge_key", "connected_components", "is_connected",
     "largest_connected_component", "WorldSampleSet", "hoeffding_sample_size",
-    "sample_possible_world", "sample_possible_worlds", "read_edge_list",
-    "write_edge_list", "read_json_graph", "write_json_graph", "generators",
+    "read_edge_list", "write_edge_list", "read_json_graph", "write_json_graph",
+    "generators",
     # deterministic substrate
     "edge_supports", "truss_decomposition", "is_k_truss", "k_truss_subgraph",
     "max_trussness", "maximal_k_trusses", "truss_hierarchy",

@@ -228,7 +228,6 @@ def _cmd_global(args: argparse.Namespace) -> int:
             task_timeout=args.task_timeout,
             task_cpu_timeout=args.task_cpu_timeout,
             max_task_retries=args.max_task_retries,
-            on_memory_pressure=args.on_memory_pressure,
             spill_dir=args.spill_dir,
         )
     if watchdog is not None:
@@ -569,9 +568,9 @@ def _add_runtime_options(p: argparse.ArgumentParser) -> None:
                    help="cap on Monte-Carlo samples actually drawn")
     g.add_argument("--max-memory", type=float, default=None, metavar="MIB",
                    help="peak-RSS budget in MiB checked at batch "
-                        "boundaries; on breach the run degrades (or, for "
-                        "'global' with --on-memory-pressure spill, moves "
-                        "its samples to disk)")
+                        "boundaries; on breach the run degrades, except "
+                        "that 'global' sampling moves its samples to disk "
+                        "and keeps the output byte-identical")
     g.add_argument("--watchdog", type=float, default=None, metavar="SECONDS",
                    help="probe memory/disk/CPU pressure at most every "
                         "SECONDS during the run, emit resource-pressure "
@@ -669,13 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "subgraphs (default: the library's built-in cap)")
     p.add_argument("--batch-size", type=int, default=25,
                    help="sampling rows per checkpoint/budget boundary")
-    p.add_argument("--on-memory-pressure", choices=["abort", "spill"],
-                   default="spill",
-                   help="what a memory-budget breach during sampling does: "
-                        "'spill' (default) moves the packed samples to a "
-                        "read-only disk mapping and keeps the output "
-                        "byte-identical; 'abort' stops sampling early and "
-                        "degrades the accuracy bound")
     p.add_argument("--spill-dir", default=None, metavar="DIR",
                    help="directory for spilled sample files (default: a "
                         "private temp directory, removed after the run)")

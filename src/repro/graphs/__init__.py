@@ -19,8 +19,6 @@ from repro.graphs.components import (
 from repro.graphs.sampling import (
     WorldSampleSet,
     hoeffding_sample_size,
-    sample_possible_world,
-    sample_possible_worlds,
 )
 from repro.graphs.io import (
     read_edge_list,
@@ -39,8 +37,6 @@ __all__ = [
     "edge_connected_components",
     "WorldSampleSet",
     "hoeffding_sample_size",
-    "sample_possible_world",
-    "sample_possible_worlds",
     "read_edge_list",
     "write_edge_list",
     "read_json_graph",

@@ -15,6 +15,7 @@ for N = 150 samples.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Hashable, Iterable
 from pathlib import Path
 
@@ -26,8 +27,6 @@ from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 __all__ = [
     "hoeffding_sample_size",
     "hoeffding_epsilon",
-    "sample_possible_world",
-    "sample_possible_worlds",
     "SampleBatcher",
     "WorldSampleSet",
 ]
@@ -65,55 +64,6 @@ def hoeffding_epsilon(n_samples: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
 
-def sample_possible_world(
-    graph: ProbabilisticGraph, rng: np.random.Generator
-) -> set[Edge]:
-    """Sample one possible world; return the set of edges present in it."""
-    present: set[Edge] = set()
-    for u, v, p in graph.edges_with_probabilities():
-        if rng.random() < p:
-            present.add((u, v))
-    return present
-
-
-def sample_possible_worlds(
-    graph: ProbabilisticGraph,
-    n_samples: int,
-    seed: int | np.random.Generator | None = None,
-) -> "WorldSampleSet":
-    """Sample ``n_samples`` independent possible worlds of ``graph``.
-
-    Convenience wrapper around :meth:`WorldSampleSet.from_graph`.
-    """
-    return WorldSampleSet.from_graph(graph, n_samples, seed=seed)
-
-
-class _PackedBatch:
-    """One retained batch, bit-packed along the edge axis (8x RAM cut).
-
-    Stands in for the boolean batch array inside
-    :class:`SampleBatcher`: it keeps the original ``shape`` so row
-    accounting is unchanged, and :meth:`unpack` restores the exact
-    boolean matrix (``packbits``/``unpackbits`` round-trip bit-exactly).
-    """
-
-    __slots__ = ("_packed", "shape")
-
-    def __init__(self, presence: np.ndarray):
-        self.shape = presence.shape
-        if presence.size:
-            self._packed = np.packbits(presence, axis=1)
-        else:
-            self._packed = np.zeros((presence.shape[0], 0), dtype=np.uint8)
-
-    def unpack(self) -> np.ndarray:
-        rows, cols = self.shape
-        if cols:
-            # repro: allow[PAR004] one batch_size-bounded batch (axis=1), not a projection
-            return np.unpackbits(self._packed, axis=1, count=cols).astype(bool)
-        return np.zeros((rows, 0), dtype=bool)
-
-
 class SampleBatcher:
     """Incremental, checkpointable possible-world sampler.
 
@@ -121,9 +71,15 @@ class SampleBatcher:
     numpy's ``Generator.random`` fills arrays from one sequential
     stream, drawing in batches is *bit-identical* to a single-shot draw
     with the same seed — the property the checkpoint/resume machinery
-    relies on: a run killed between batches resumes from the serialised
-    RNG state (:meth:`rng_state`/:meth:`set_rng_state`) and produces the
-    same worlds as an uninterrupted run.
+    relies on: a run killed between batches reloads the saved batches
+    with :meth:`load_batch`, restores the state :meth:`rng_state`
+    captured into the generator it passed in, and produces the same
+    worlds as an uninterrupted run.
+
+    Each batch is folded into one ``(ceil(N/8), m)`` uint8 array in the
+    :attr:`WorldSampleSet.packed_bits` layout as soon as it arrives;
+    only the fewer than 8 rows that do not yet fill a packed byte wait
+    between batches as booleans.
     """
 
     def __init__(
@@ -133,10 +89,15 @@ class SampleBatcher:
         batch_size: int,
         seed: int | np.random.Generator | None = None,
     ):
-        if n_samples <= 0:
-            raise ParameterError(f"n_samples must be positive, got {n_samples}")
-        if batch_size <= 0:
-            raise ParameterError(f"batch_size must be positive, got {batch_size}")
+        for name, value in (("n_samples", n_samples),
+                            ("batch_size", batch_size)):
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ParameterError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value <= 0:
+                raise ParameterError(f"{name} must be positive, got {value}")
         self._rng = (
             seed
             if isinstance(seed, np.random.Generator)
@@ -148,9 +109,13 @@ class SampleBatcher:
             self._edges.append((u, v))
             probs.append(p)
         self._probs = np.asarray(probs)
-        self.n_samples = n_samples
-        self.batch_size = batch_size
-        self._batches: list[np.ndarray] = []
+        self.n_samples = int(n_samples)
+        self.batch_size = int(batch_size)
+        self._batches_drawn = 0
+        # Allocated by the first batch: a streaming consumer that only
+        # calls draw_presence never holds the whole matrix.
+        self._packed: np.ndarray | None = None
+        self._carry = np.zeros((0, len(self._edges)), dtype=bool)
 
     @property
     def edges(self) -> list[Edge]:
@@ -164,11 +129,11 @@ class SampleBatcher:
 
     @property
     def batches_drawn(self) -> int:
-        return len(self._batches)
+        return self._batches_drawn
 
     @property
     def samples_drawn(self) -> int:
-        return sum(b.shape[0] for b in self._batches)
+        return min(self._batches_drawn * self.batch_size, self.n_samples)
 
     def batch_rows(self, index: int) -> int:
         """Row count of batch ``index`` (the last one may be short)."""
@@ -182,9 +147,22 @@ class SampleBatcher:
         """JSON-serialisable RNG state (valid between batches)."""
         return self._rng.bit_generator.state
 
-    def set_rng_state(self, state: dict) -> None:
-        """Restore an RNG state captured by :meth:`rng_state`."""
-        self._rng.bit_generator.state = state
+    def _fold(self, presence: np.ndarray) -> None:
+        """Pack ``presence`` after the rows drawn so far."""
+        if self._packed is None:
+            self._packed = np.zeros(
+                (-(-self.n_samples // 8), len(self._edges)), dtype=np.uint8
+            )
+        rows = (np.concatenate((self._carry, presence)) if len(self._carry)
+                else presence)
+        whole = len(rows) - len(rows) % 8
+        at = self.samples_drawn // 8
+        self._packed[at:at + whole // 8] = np.packbits(rows[:whole], axis=0)
+        # The carry and the count change together, after everything that
+        # can fail, so a MemoryError leaves the batcher as it was.
+        self._carry, self._batches_drawn = (
+            rows[whole:].copy(), self._batches_drawn + 1
+        )
 
     def load_batch(self, presence: np.ndarray) -> None:
         """Append a previously drawn batch (checkpoint resume path)."""
@@ -204,7 +182,7 @@ class SampleBatcher:
             raise ParameterError(
                 f"resumed batch has shape {presence.shape}, expected {expected}"
             )
-        self._batches.append(presence)
+        self._fold(presence)
 
     def draw_presence(self, rows: int) -> np.ndarray:
         """Draw ``rows`` worlds from the RNG stream without retaining them.
@@ -222,50 +200,28 @@ class SampleBatcher:
         if self.batches_drawn >= self.n_batches:
             raise ParameterError("all batches have already been drawn")
         presence = self.draw_presence(self.batch_rows(self.batches_drawn))
-        self._batches.append(presence)
+        self._fold(presence)
         return presence
 
-    def compact(self) -> int:
-        """Bit-pack the retained batches in place; returns bytes freed.
-
-        This is the first, cheap response to memory pressure: the
-        ``n x m`` boolean batches shrink 8x without touching the RNG
-        stream or the assembled result — ``packbits``/``unpackbits``
-        round-trip bit-exactly, so :meth:`result` is unchanged.
-        Idempotent; newly drawn batches stay unpacked until the next
-        call.
-        """
-        freed = 0
-        for i, batch in enumerate(self._batches):
-            if isinstance(batch, _PackedBatch):
-                continue
-            packed = _PackedBatch(batch)
-            freed += int(batch.nbytes) - int(packed._packed.nbytes)
-            self._batches[i] = packed
-        return freed
-
     def result(self, partial_ok: bool = False) -> "WorldSampleSet":
-        """Assemble the drawn batches into a :class:`WorldSampleSet`.
+        """The drawn worlds as a :class:`WorldSampleSet`.
 
         With ``partial_ok`` a prefix of the batches suffices (the
         graceful-degradation path); otherwise all batches are required.
+        The set views the batcher's packed array without copying it, so
+        draw no further batch while it is in use.
         """
         if not partial_ok and self.batches_drawn < self.n_batches:
             raise ParameterError(
                 f"only {self.batches_drawn} of {self.n_batches} batches drawn"
             )
-        if not self._batches:
+        if self._packed is None:
             raise ParameterError("no sample batches drawn yet")
-        batches = [
-            b.unpack() if isinstance(b, _PackedBatch) else b
-            for b in self._batches
-        ]
-        presence = (
-            batches[0]
-            if len(batches) == 1
-            else np.concatenate(batches, axis=0)
-        )
-        return WorldSampleSet(presence, self._edges)
+        n_drawn = self.samples_drawn
+        packed = self._packed[:-(-n_drawn // 8)]
+        if len(self._carry):
+            packed[-1] = np.packbits(self._carry, axis=0)[0]
+        return WorldSampleSet.from_packed(packed, n_drawn, self._edges)
 
 
 class WorldSampleSet:

@@ -92,9 +92,8 @@ class FaultPlan:
 
         Raises the same :class:`BudgetExceededError` (``resource ==
         "memory"``) a real :class:`~repro.runtime.Budget` produces when
-        peak RSS crosses its limit, so the harness's memory-pressure
-        policy (abort vs spill-to-disk) is exercised without actually
-        allocating gigabytes.
+        peak RSS crosses its limit, so the harness's spill to disk is
+        exercised without actually allocating gigabytes.
         """
         err = BudgetExceededError(
             "memory", 0, 1,

@@ -338,7 +338,6 @@ def run_global(
     task_timeout: float | None = None,
     task_cpu_timeout: float | None = None,
     max_task_retries: int | None = None,
-    on_memory_pressure: str = "spill",
     spill_dir=None,
 ) -> PartialResult:
     """Run a global (k, gamma)-truss decomposition under the harness.
@@ -382,17 +381,14 @@ def run_global(
         ``"raise"`` (default) surfaces a corrupt checkpoint as
         :class:`CheckpointError`; ``"restart"`` clears it and starts
         fresh.
-    on_memory_pressure / spill_dir:
-        Policy for a *memory*-budget breach during sampling.
-        ``"spill"`` (default) bit-packs the batches drawn so far, keeps
-        sampling, and moves the finished packed matrix into a read-only
-        ``np.memmap`` file under ``spill_dir`` (a private temp directory
-        when None) — output stays byte-identical for every worker
-        count, so this is reported as a ``resource-pressure`` event, not
-        a degradation. ``"abort"`` restores the old behaviour: stop
-        sampling early and degrade via the widened Hoeffding epsilon.
-        The breached budget's memory limit is lifted for the rest of
-        this run only.
+    spill_dir:
+        Where the samples go after a *memory*-budget breach during
+        sampling. The breached budget's memory limit is lifted for the
+        rest of this run only, sampling finishes, and the packed matrix
+        moves into a read-only ``np.memmap`` file under ``spill_dir`` (a
+        private temp directory when None). Output stays byte-identical
+        for every worker count, so this is reported as a
+        ``resource-pressure`` event, not a degradation.
     task_cpu_timeout:
         CPU-stall supervision (see
         :class:`~repro.parallel.ParallelExecutor`): a worker whose CPU
@@ -411,11 +407,6 @@ def run_global(
             "checkpointed global runs need an int seed: the per-seed "
             "RNG streams are rooted at it, and a root derived from a "
             "None seed cannot be re-derived on resume"
-        )
-    if on_memory_pressure not in ("abort", "spill"):
-        raise ParameterError(
-            f"on_memory_pressure must be 'abort' or 'spill', "
-            f"got {on_memory_pressure!r}"
         )
     n_requested = (
         n_samples if n_samples is not None
@@ -561,16 +552,11 @@ def run_global(
                     detail={"samples_drawn": batcher.samples_drawn},
                 ))
             except BudgetExceededError as err:
-                if (err.resource == "memory"
-                        and on_memory_pressure == "spill"
-                        and not spill_pending):
-                    # Memory pressure under the spill policy: bit-pack
-                    # the batches already drawn (8x smaller in place),
-                    # lift the memory limit and finish sampling; the
-                    # packed matrix moves to a read-only memmap below.
-                    # Output is byte-identical, so this is *not*
-                    # degraded.
-                    batcher.compact()
+                if err.resource == "memory" and not spill_pending:
+                    # Memory pressure: lift the memory limit and finish
+                    # sampling; the packed matrix moves to a read-only
+                    # memmap below. Output is byte-identical, so this is
+                    # *not* degraded.
                     if err.budget is not None:
                         run.lift_memory_limit(err.budget)
                     spill_pending = True

@@ -1,8 +1,8 @@
 """On-disk home for spilled sample matrices.
 
-When a run crosses its memory budget with ``--on-memory-pressure
-spill``, the packed possible-world presence matrix moves out of RAM
-into a file-backed ``np.memmap`` (see
+When a global run crosses its memory budget while sampling, the packed
+possible-world presence matrix moves out of RAM into a file-backed
+``np.memmap`` (see
 :meth:`repro.graphs.sampling.WorldSampleSet.spill_to`). A
 :class:`SpillDirectory` owns where those files live: a caller-supplied
 directory (kept afterwards — only the spill files themselves are

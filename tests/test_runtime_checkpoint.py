@@ -193,15 +193,29 @@ class TestBatcherResume:
     """The checkpoint-resume path of :class:`SampleBatcher`."""
 
     def test_resume_via_load_batch_matches_direct_draw(self):
+        # Batch sizes off a multiple of 8 put batch boundaries inside
+        # packed bytes; a resume after every batch count j reloads j
+        # batches, restores the generator and draws the rest.
         graph = running_example()
-        direct = SampleBatcher(graph, n_samples=40, batch_size=20, seed=0)
-        batches = [direct.draw_next() for _ in range(2)]
-        resumed = SampleBatcher(graph, n_samples=40, batch_size=20, seed=0)
-        for batch in batches:
-            resumed.load_batch(batch)
-        assert np.array_equal(
-            resumed.result().packed_bits, direct.result().packed_bits
-        )
+        for batch_size in (20, 7, 8, 25):
+            direct = SampleBatcher(graph, n_samples=40,
+                                   batch_size=batch_size, seed=0)
+            batches, states = [], [direct.rng_state()]
+            while direct.batches_drawn < direct.n_batches:
+                batches.append(direct.draw_next())
+                states.append(direct.rng_state())
+            expected = direct.result().packed_bits
+            for j in range(len(batches) + 1):
+                rng = np.random.default_rng()
+                resumed = SampleBatcher(graph, n_samples=40,
+                                        batch_size=batch_size, seed=rng)
+                for batch in batches[:j]:
+                    resumed.load_batch(batch)
+                rng.bit_generator.state = states[j]
+                while resumed.batches_drawn < resumed.n_batches:
+                    resumed.draw_next()
+                assert np.array_equal(resumed.result().packed_bits,
+                                      expected), (batch_size, j)
 
     def test_overfull_checkpoint_names_the_problem(self):
         # Regression: loading more batches than the run's parameters

@@ -3,8 +3,9 @@
 Covers the observation layer (:class:`ResourceWatchdog` probes and
 alerts), the storage layer (:class:`SpillDirectory` ownership and
 cleanup, :meth:`WorldSampleSet.spill_to` byte identity), and the policy
-layer (``run_global(on_memory_pressure="spill")`` producing output
-byte-identical to an unpressured run, for every worker count).
+layer (a memory-budget breach during ``run_global`` sampling spills
+and produces output byte-identical to an unpressured run, for every
+worker count).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
-from repro.graphs.sampling import WorldSampleSet, sample_possible_worlds
+from repro.graphs.sampling import WorldSampleSet
 from repro.runtime import (
     Budget,
     FaultPlan,
@@ -144,7 +145,7 @@ class TestSpillDirectory:
 class TestWorldSampleSetSpill:
     def make_set(self, seed=0, n=40):
         graph = dyadic_random_graph(8, 0.5, seed=seed)
-        return sample_possible_worlds(graph, n, seed=seed)
+        return WorldSampleSet.from_graph(graph, n, seed=seed)
 
     def test_spill_preserves_bytes_and_answers(self, tmp_path):
         ram = self.make_set()
@@ -198,7 +199,7 @@ def pressured_run(graph, workers, spill_dir, recorder=None):
 
 
 class TestSpillPolicy:
-    """``on_memory_pressure="spill"`` keeps the answer byte-identical."""
+    """Spilling on memory pressure keeps the answer byte-identical."""
 
     @pytest.mark.parametrize("workers", [None, 1, 4])
     def test_spilled_run_matches_unpressured_baseline(
@@ -227,16 +228,6 @@ class TestSpillPolicy:
         assert partial.complete
         assert list(tmp_path.iterdir()) == []  # spill file reclaimed
 
-    def test_abort_policy_degrades_like_oom(self):
-        graph = dyadic_random_graph(8, 0.5, seed=3)
-        plan = FaultPlan().memory_pressure("sample-batch", 0)
-        partial = run_global(graph, 0.3, method="gbu", seed=1,
-                             n_samples=60, batch_size=20, faults=plan,
-                             on_memory_pressure="abort")
-        assert partial.degraded
-        assert partial.n_samples_drawn < partial.n_samples_requested
-        assert "memory" in partial.reason.lower()
-
     def test_reused_budget_spills_every_run(self, tmp_path):
         """A spill lifts the memory limit for its own run only."""
         graph = dyadic_random_graph(8, 0.5, seed=3)
@@ -248,12 +239,6 @@ class TestSpillPolicy:
             assert partial.complete and not partial.degraded
             assert "spilled_to" in partial.detail, f"run {run} did not spill"
             assert budget.max_memory_bytes == 1
-
-    def test_unknown_policy_rejected(self):
-        graph = dyadic_random_graph(6, 0.5, seed=3)
-        with pytest.raises(ParameterError, match="on_memory_pressure"):
-            run_global(graph, 0.3, method="gbu", seed=1, n_samples=20,
-                       batch_size=20, on_memory_pressure="panic")
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 50))

@@ -1,6 +1,7 @@
 """Unit tests for possible-world sampling and the bit-packed sample set."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from repro import (
     ProbabilisticGraph,
     WorldSampleSet,
     hoeffding_sample_size,
-    sample_possible_world,
-    sample_possible_worlds,
 )
+from repro.graphs.generators import gnp_graph
+from repro.graphs.sampling import SampleBatcher
+from repro.runtime import run_global
 
 
 class TestHoeffdingSampleSize:
@@ -35,31 +37,28 @@ class TestHoeffdingSampleSize:
             hoeffding_sample_size(eps, delta)
 
 
-class TestSamplePossibleWorld:
-    def test_certain_edges_always_present(self, rng):
-        g = ProbabilisticGraph([("a", "b", 1.0), ("b", "c", 0.0)])
-        for _ in range(20):
-            world = sample_possible_world(g, rng)
-            assert ("a", "b") in world
-            assert ("b", "c") not in world
-
-    def test_frequency_approximates_probability(self, rng):
-        g = ProbabilisticGraph([("a", "b", 0.3)])
-        hits = sum(
-            ("a", "b") in sample_possible_world(g, rng) for _ in range(4000)
-        )
-        assert abs(hits / 4000 - 0.3) < 0.03
-
-
 class TestWorldSampleSet:
     def test_shapes(self, paper_graph):
         samples = WorldSampleSet.from_graph(paper_graph, 64, seed=1)
         assert samples.n_samples == 64
         assert samples.n_edges == paper_graph.number_of_edges()
+        # Any integral type is a count, numpy's included.
+        samples = WorldSampleSet.from_graph(paper_graph, np.int64(9), seed=1,
+                                            batch_size=np.int32(4))
+        assert samples.n_samples == 9
 
     def test_invalid_sample_count(self, paper_graph):
-        with pytest.raises(ParameterError):
-            WorldSampleSet.from_graph(paper_graph, 0, seed=1)
+        draws = [
+            lambda: WorldSampleSet.from_graph(paper_graph, 0, seed=1),
+            lambda: WorldSampleSet.from_graph(paper_graph, 10.5, seed=1),
+            lambda: WorldSampleSet.from_graph(paper_graph, True, seed=1),
+            lambda: WorldSampleSet.from_graph(paper_graph, 10, seed=1,
+                                              batch_size=2.5),
+            lambda: run_global(paper_graph, 0.3, seed=1, n_samples=30.5),
+        ]
+        for draw in draws:
+            with pytest.raises(ParameterError):
+                draw()
 
     def test_deterministic_under_seed(self, paper_graph):
         a = WorldSampleSet.from_graph(paper_graph, 32, seed=5)
@@ -122,10 +121,6 @@ class TestWorldSampleSet:
         assert samples.n_edges == 0
         assert samples.presence_matrix([]).shape == (5, 0)
 
-    def test_convenience_wrapper(self, paper_graph):
-        samples = sample_possible_worlds(paper_graph, 7, seed=9)
-        assert samples.n_samples == 7
-
     def test_rejects_bad_matrix(self):
         with pytest.raises(ParameterError):
             WorldSampleSet(np.zeros((3,), dtype=bool), [("a", "b")])
@@ -175,7 +170,7 @@ class TestFromGraphBatching:
         presence = np.random.default_rng(seed).random((n, len(probs)))
         return np.packbits(presence < np.asarray(probs), axis=0)
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 7, N])
+    @pytest.mark.parametrize("batch_size", [None, 1, 7, 8, 9, 25, N])
     @pytest.mark.parametrize("hooked", [False, True])
     def test_packed_bits_equal_single_shot(self, paper_graph, batch_size,
                                            hooked):
@@ -191,6 +186,34 @@ class TestFromGraphBatching:
             assert [e.phase for e in events] == ["sample-batch"] * n_batches
             assert [e.step for e in events] == list(range(n_batches))
             assert all(e.total == n_batches for e in events)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 8, 9, 25])
+    def test_partial_prefix_equals_single_shot(self, paper_graph, batch_size):
+        batcher = SampleBatcher(paper_graph, self.N, batch_size, seed=11)
+        while batcher.batches_drawn < batcher.n_batches - 1:
+            batcher.draw_next()
+            drawn = batcher.samples_drawn
+            assert np.array_equal(
+                batcher.result(partial_ok=True).packed_bits,
+                self._single_shot(paper_graph, drawn, 11),
+            )
+
+    def test_sampling_peak_stays_near_the_packed_size(self):
+        # 20 000 worlds x 804 edges pack into 1.9 MiB; one 500-row batch
+        # of float draws is 3.1 MiB. Holding boolean batches and
+        # re-packing them at the end peaked near 33 MiB.
+        graph = gnp_graph(60, 0.45, seed=3)
+        tracemalloc.start()
+        try:
+            batcher = SampleBatcher(graph, 20_000, 500, seed=0)
+            while batcher.batches_drawn < batcher.n_batches:
+                batcher.draw_next()
+            samples = batcher.result()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.packed_bits.shape == (2500, 804)
+        assert peak < 8 * 2**20, f"sampling peaked at {peak / 2**20:.1f} MiB"
 
     def test_edgeless_graph(self):
         graph = ProbabilisticGraph()
